@@ -3,7 +3,7 @@
 // (override with -out). Commit the file alongside performance-relevant
 // changes so regressions are visible in history.
 //
-// The snapshot records four groups:
+// The snapshot records five groups:
 //
 //   - scheduler: micro-benchmarks of the event queue (churn, cancel-heavy,
 //     wide-fanout), with ns/op and allocs/op;
@@ -14,6 +14,8 @@
 //     visible in history), and traced (flight recorder attached);
 //   - pools: end-of-run pool occupancy of one representative world
 //     (chunks grown, live/free, get/put churn per recycler);
+//   - dense_world: event throughput of multi-BSS grids of growing size
+//     with the same per-cell workload, on the neighbor-scoped medium;
 //   - artifacts: a wall-clock matrix regenerating a representative
 //     artifact set at runner widths 1, 4, and GOMAXPROCS (each case
 //     records its own gomaxprocs and parallel_limit), asserting the
@@ -100,20 +102,15 @@ type snapshot struct {
 	// Pools is the end-of-run pool occupancy of one representative pooled
 	// world (seed 1, one simulated second).
 	Pools scenario.PoolStats `json:"pools"`
-	// DenseWorld compares neighbor-scoped delivery against the legacy
-	// broadcast scan on a multi-BSS grid: identical worlds, identical
-	// event streams, different per-transmit fan-out cost. The scoped
-	// path's events/sec should track the (small) neighbor sets, not the
-	// total radio count.
+	// DenseWorld times neighbor-scoped delivery on multi-BSS grids of
+	// growing size. Events/sec should track the (small, constant)
+	// neighbor sets, not the total radio count.
 	DenseWorld denseWorldBench `json:"dense_world"`
 	Artifacts  wallClock       `json:"artifacts"`
 }
 
-// denseWorldBench is the broadcast-vs-neighbor comparison matrix: the
-// same per-cell workload at growing grid sizes. Scoped events/sec
-// should stay roughly flat across rows (per-event cost tracks the
-// constant neighbor count) while the broadcast scan degrades with the
-// total radio count.
+// denseWorldBench is the grid-size matrix: the same per-cell workload at
+// growing grid sizes.
 type denseWorldBench struct {
 	Channels        int              `json:"channels"`
 	StationsPerCell int              `json:"stations_per_cell"`
@@ -126,13 +123,9 @@ type denseWorldCase struct {
 	// Radios is the total radio count (APs + stations).
 	Radios int `json:"radios"`
 	// AvgNeighbors is the mean per-radio co-channel in-CS-range neighbor
-	// count — the fan-out the scoped path pays per transmission, versus
-	// Radios-1 probed by the broadcast scan.
+	// count — the fan-out one transmission pays.
 	AvgNeighbors float64    `json:"avg_neighbors"`
 	Scoped       benchEntry `json:"scoped"`
-	Broadcast    benchEntry `json:"broadcast"`
-	// SpeedupScoped is Scoped.EventsPerSec / Broadcast.EventsPerSec.
-	SpeedupScoped float64 `json:"speedup_scoped"`
 }
 
 func main() {
@@ -208,9 +201,8 @@ func run(args []string) int {
 	fmt.Printf("dense world (%d-channel plan, %d stations/cell, identical per-cell workload):\n",
 		dense.Channels, dense.StationsPerCell)
 	for _, c := range dense.Cases {
-		fmt.Printf("  cells=%-4d radios=%-5d neighbors=%-5.1f scoped %10.0f events/sec, broadcast %10.0f events/sec (%.2fx)\n",
-			c.Cells, c.Radios, c.AvgNeighbors,
-			c.Scoped.EventsPerSec, c.Broadcast.EventsPerSec, c.SpeedupScoped)
+		fmt.Printf("  cells=%-4d radios=%-5d neighbors=%-5.1f %10.0f events/sec\n",
+			c.Cells, c.Radios, c.AvgNeighbors, c.Scoped.EventsPerSec)
 	}
 
 	ids := []string{"fig2", "fig5", "fig14", "tab1", "abl1"}
@@ -472,9 +464,8 @@ func benchSimulatorUnpooled(b *testing.B) {
 // Dense-world comparison: grids of BSSs on a 3-channel plan with
 // hotspot-scale (GRC evaluation) propagation, so each BSS
 // carrier-senses only itself. Per-cell workload (stations, uplink mix,
-// rate) is identical at every grid size: the scoped path's per-event
-// cost should track the constant neighbor count while the broadcast
-// scan's O(total radios) per-transmit probe grows with the grid.
+// rate) is identical at every grid size, so the per-event cost should
+// track the constant neighbor count, not the grid.
 const (
 	denseWorldChannels = 3
 	denseWorldStations = 20
@@ -484,17 +475,13 @@ const (
 )
 
 // denseWorldGrids are the matrix's grid sizes: the 4×4 reference, then
-// wider grids where the broadcast scan's radio-count term dominates.
+// wider grids.
 var denseWorldGrids = []int{16, 49, 100}
 
-func buildDenseWorld(seed int64, cells int, broadcast bool) (*scenario.World, error) {
+func buildDenseWorld(seed int64, cells int) (*scenario.World, error) {
 	prop := phys.GRCPropagation()
 	return scenario.BuildCells(scenario.CellsConfig{
-		Config: scenario.Config{
-			Seed:                   seed,
-			Propagation:            &prop,
-			DisableNeighborScoping: broadcast,
-		},
+		Config: scenario.Config{Seed: seed, Propagation: &prop},
 		Topology: scenario.TopologySpec{
 			NumCells:        cells,
 			ChannelPlan:     []int{1, 6, 11},
@@ -505,12 +492,12 @@ func buildDenseWorld(seed int64, cells int, broadcast bool) (*scenario.World, er
 	})
 }
 
-func benchDenseWorld(cells int, broadcast bool) func(b *testing.B) {
+func benchDenseWorld(cells int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		var events uint64
 		for i := 0; i < b.N; i++ {
-			w, err := buildDenseWorld(int64(i+1), cells, broadcast)
+			w, err := buildDenseWorld(int64(i+1), cells)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -536,7 +523,7 @@ func denseWorldSnapshot(quick bool) (denseWorldBench, error) {
 	for _, cells := range grids {
 		c := denseWorldCase{Cells: cells, Radios: cells * (denseWorldStations + 1)}
 		// Topology census on one instance of the world.
-		w, err := buildDenseWorld(1, cells, false)
+		w, err := buildDenseWorld(1, cells)
 		if err != nil {
 			return denseWorldBench{}, err
 		}
@@ -551,11 +538,7 @@ func denseWorldSnapshot(quick bool) (denseWorldBench, error) {
 		}
 		c.AvgNeighbors = float64(total) / float64(c.Radios)
 		name := fmt.Sprintf("DenseWorld%dCells", cells)
-		c.Scoped = toEntry(name+"Scoped", testing.Benchmark(benchDenseWorld(cells, false)))
-		c.Broadcast = toEntry(name+"Broadcast", testing.Benchmark(benchDenseWorld(cells, true)))
-		if c.Broadcast.EventsPerSec > 0 {
-			c.SpeedupScoped = c.Scoped.EventsPerSec / c.Broadcast.EventsPerSec
-		}
+		c.Scoped = toEntry(name+"Scoped", testing.Benchmark(benchDenseWorld(cells)))
 		d.Cases = append(d.Cases, c)
 	}
 	return d, nil

@@ -47,23 +47,6 @@ func parseMisbehavior(s string) (core.Misbehavior, error) {
 	}
 }
 
-func parseFrames(s string) (greedy.FrameSet, error) {
-	switch s {
-	case "cts", "":
-		return greedy.CTSOnly, nil
-	case "ack":
-		return greedy.ACKOnly, nil
-	case "cts+ack":
-		return greedy.CTSAndACK, nil
-	case "rts+cts":
-		return greedy.RTSAndCTS, nil
-	case "all":
-		return greedy.AllFrames, nil
-	default:
-		return greedy.FrameSet{}, fmt.Errorf("unknown frame set %q (cts|ack|cts+ack|rts+cts|all)", s)
-	}
-}
-
 func run(args []string) int {
 	fs := flag.NewFlagSet("greedysim", flag.ContinueOnError)
 	var (
@@ -74,7 +57,7 @@ func run(args []string) int {
 		greedyN   = fs.Int("greedy", 1, "number of greedy receivers")
 		gp        = fs.Float64("gp", 100, "greedy percentage (0-100)")
 		nav       = fs.Duration("nav", 0, "NAV inflation amount (misbehavior nav), e.g. 10ms")
-		frames    = fs.String("frames", "cts+ack", "frames to inflate: cts | ack | cts+ack | rts+cts | all")
+		frames    = fs.String("frames", "cts+ack", "frames to inflate: a +-joined subset of rts, cts, data, ack (e.g. rts+cts), or all")
 		ber       = fs.Float64("ber", 0, "channel bit error rate (Table III model)")
 		dataFER   = fs.Float64("data-fer", 0, "fixed data-frame error rate")
 		hidden    = fs.Bool("hidden", false, "hidden-terminal topology (fake-ACK study)")
@@ -111,7 +94,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "greedysim: %v\n", err)
 		return 2
 	}
-	frameSet, err := parseFrames(*frames)
+	frameSet, err := greedy.ParseFrameSet(*frames)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "greedysim: %v\n", err)
 		return 2

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"testing"
+)
 
 func TestParseMisbehavior(t *testing.T) {
 	tests := []struct {
@@ -18,15 +22,55 @@ func TestParseMisbehavior(t *testing.T) {
 	}
 }
 
+// TestParseFrames: -frames takes every frame-set name, and the empty
+// value means the same CTS+ACK set as the flag's default. Without
+// RTS/CTS the greedy UDP receiver sends only ACKs, so the frame set
+// decides whether it inflates at all.
 func TestParseFrames(t *testing.T) {
-	for _, ok := range []string{"cts", "", "ack", "cts+ack", "rts+cts", "all"} {
-		if _, err := parseFrames(ok); err != nil {
-			t.Errorf("parseFrames(%q) = %v", ok, err)
+	nav := func(frames ...string) (string, int) {
+		t.Helper()
+		args := append([]string{"-misbehavior", "nav", "-nav", "5ms", "-no-rtscts",
+			"-runs", "1", "-duration", "200ms"}, frames...)
+		return captureStdout(t, func() int { return run(args) })
+	}
+	for _, ok := range []string{"cts", "", "ack", "cts+ack", "rts+cts", "all", "rts", "data+ack"} {
+		if _, code := nav("-frames", ok); code != 0 {
+			t.Errorf("-frames %q: exit %d", ok, code)
 		}
 	}
-	if _, err := parseFrames("datagram"); err == nil {
-		t.Error("bad frame set accepted")
+	if _, code := nav("-frames", "datagram"); code != 2 {
+		t.Errorf("-frames datagram: exit %d, want 2", code)
 	}
+	def, _ := nav()
+	empty, _ := nav("-frames", "")
+	if def != empty {
+		t.Errorf("-frames \"\" differs from the default:\n%s\nvs\n%s", empty, def)
+	}
+	rts, _ := nav("-frames", "rts")
+	if rts == def {
+		t.Error("-frames rts matches the cts+ack default; the flag is ignored")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed along with f's result.
+func captureStdout(t *testing.T, f func() int) (string, int) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	code := f()
+	os.Stdout = saved
+	w.Close()
+	return <-out, code
 }
 
 func TestRunExitCodes(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"greedy80211/internal/detect"
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/mac"
 	"greedy80211/internal/medium"
 	"greedy80211/internal/phys"
@@ -47,13 +46,9 @@ func main() {
 		},
 		N:         2,
 		Transport: scenario.UDP,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i != 1 {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{Policy: greedy.NewNAVInflation(
-				w.Sched.RNG(), greedy.CTSAndACK, 10*sim.Millisecond, 100)}
-		},
+		// R2 inflates the NAV of its CTS and ACK frames by 10 ms (the
+		// PolicySpec defaults).
+		ReceiverSpecs: []scenario.StationSpec{{}, {Policy: scenario.PolicySpec{Name: scenario.PolicyNAVInflation}}},
 	})
 	if err != nil {
 		log.Fatalf("airtime_forensics: %v", err)

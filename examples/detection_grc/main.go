@@ -70,17 +70,16 @@ func demoSpoof() {
 // demoFakeACK: misbehavior 3 vs the probing loss-consistency check.
 func demoFakeACK() {
 	run := func(fake bool) (macLoss, appLoss float64) {
+		var receiver scenario.StationSpec
+		if fake {
+			receiver.Policy = scenario.PolicySpec{Name: scenario.PolicyFakeACKs}
+		}
 		w, err := scenario.BuildPairs(scenario.PairsConfig{
-			Config:     scenario.Config{Seed: 3, UseRTSCTS: true, Error: phys.BERSpec(8e-4)},
-			N:          1,
-			Transport:  scenario.UDP,
-			CBRRateBps: 5e5,
-			ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-				if !fake {
-					return scenario.StationOpts{}
-				}
-				return scenario.StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), 100)}
-			},
+			Config:        scenario.Config{Seed: 3, UseRTSCTS: true, Error: phys.BERSpec(8e-4)},
+			N:             1,
+			Transport:     scenario.UDP,
+			CBRRateBps:    5e5,
+			ReceiverSpecs: []scenario.StationSpec{receiver},
 		})
 		if err != nil {
 			log.Fatalf("detection_grc: %v", err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
 	"greedy80211/internal/stats"
@@ -15,13 +14,12 @@ import (
 
 func main() {
 	frameSets := []struct {
-		name string
-		set  greedy.FrameSet
+		name, frames string
 	}{
-		{"CTS", greedy.CTSOnly},
-		{"RTS+CTS", greedy.RTSAndCTS},
-		{"ACK", greedy.ACKOnly},
-		{"all frames", greedy.AllFrames},
+		{"CTS", "cts"},
+		{"RTS+CTS", "rts+cts"},
+		{"ACK", "ack"},
+		{"all frames", "all"},
 	}
 	inflationsMs := []float64{0, 2, 5, 10, 31}
 
@@ -29,19 +27,18 @@ func main() {
 		nr := stats.Series{Name: "normal (Mbps)"}
 		gr := stats.Series{Name: "greedy (Mbps)"}
 		for _, ms := range inflationsMs {
-			extra := sim.FromSeconds(ms / 1000)
+			// R2 inflates; zero inflation is the compliant baseline (a
+			// PolicySpec would read 0 as its 10 ms default).
+			specs := []scenario.StationSpec{{}, {}}
+			if ms > 0 {
+				specs[1].Policy = scenario.PolicySpec{Name: scenario.PolicyNAVInflation,
+					NAVInflation: sim.FromSeconds(ms / 1000), Frames: fsp.frames}
+			}
 			w, err := scenario.BuildPairs(scenario.PairsConfig{
-				Config:    scenario.Config{Seed: 42, UseRTSCTS: true},
-				N:         2,
-				Transport: scenario.TCP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != 1 || extra == 0 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{
-						Policy: greedy.NewNAVInflation(w.Sched.RNG(), fsp.set, extra, 100),
-					}
-				},
+				Config:        scenario.Config{Seed: 42, UseRTSCTS: true},
+				N:             2,
+				Transport:     scenario.TCP,
+				ReceiverSpecs: specs,
 			})
 			if err != nil {
 				log.Fatalf("hotspot_nav_attack: %v", err)

@@ -15,7 +15,6 @@ import (
 
 	"greedy80211/internal/detect"
 	"greedy80211/internal/greedy"
-	"greedy80211/internal/mac"
 	"greedy80211/internal/medium"
 	"greedy80211/internal/metrics"
 	"greedy80211/internal/phys"
@@ -212,31 +211,39 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// policyFor builds receiver i's station options for one run.
-func (c Config) receiverOpts(w *scenario.World, i int, grcCfg *detect.Config) scenario.StationOpts {
-	opts := scenario.StationOpts{}
+// stationSpecs builds one run's receiver and sender specs: GRC at every
+// station when enabled, and the misbehavior on the last GreedyReceivers
+// receivers.
+func (c Config) stationSpecs(grcCfg *detect.Config) (recv, send []scenario.StationSpec) {
+	var grc *detect.Config
 	if c.EnableGRC {
-		opts.GRC = grcCfg
+		grc = grcCfg
 	}
-	if i < c.Pairs-c.GreedyReceivers {
-		return opts
-	}
+	nNormal := c.Pairs - c.GreedyReceivers
+	var policy scenario.PolicySpec
 	switch c.Misbehavior {
 	case MisbehaviorNAVInflation:
-		opts.Policy = greedy.NewNAVInflation(w.Sched.RNG(), c.NAVFrames, c.NAVInflation, c.GreedyPercent)
+		policy = scenario.PolicySpec{Name: scenario.PolicyNAVInflation, GreedyPercent: &c.GreedyPercent,
+			NAVInflation: c.NAVInflation, Frames: c.NAVFrames.String()}
 	case MisbehaviorACKSpoofing:
-		// Target every normal receiver already registered.
-		var victims []mac.NodeID
-		for j := 0; j < c.Pairs-c.GreedyReceivers; j++ {
-			if st, ok := w.Station(scenario.ReceiverName(j)); ok {
-				victims = append(victims, st.ID)
-			}
+		// Target every normal receiver; builders add them first.
+		policy = scenario.PolicySpec{Name: scenario.PolicyACKSpoofing, GreedyPercent: &c.GreedyPercent}
+		for j := 0; j < nNormal; j++ {
+			policy.Victims = append(policy.Victims, scenario.ReceiverName(j))
 		}
-		opts.Policy = greedy.NewACKSpoofer(w.Sched.RNG(), c.GreedyPercent, victims...)
 	case MisbehaviorFakeACKs:
-		opts.Policy = greedy.NewFakeACKer(w.Sched.RNG(), c.GreedyPercent)
+		policy = scenario.PolicySpec{Name: scenario.PolicyFakeACKs, GreedyPercent: &c.GreedyPercent}
 	}
-	return opts
+	recv = make([]scenario.StationSpec, c.Pairs)
+	send = make([]scenario.StationSpec, c.Pairs)
+	for i := range recv {
+		recv[i].GRC = grc
+		send[i].GRC = grc
+		if i >= nNormal {
+			recv[i].Policy = policy
+		}
+	}
+	return recv, send
 }
 
 func (c Config) buildWorld(seed int64, grcCfg *detect.Config) (*scenario.World, error) {
@@ -253,26 +260,18 @@ func (c Config) buildWorld(seed int64, grcCfg *detect.Config) (*scenario.World, 
 	case c.BER > 0:
 		base.Error = phys.BERSpec(c.BER)
 	}
-	recv := func(w *scenario.World, i int) scenario.StationOpts {
-		return c.receiverOpts(w, i, grcCfg)
-	}
-	send := func(w *scenario.World, i int) scenario.StationOpts {
-		if !c.EnableGRC {
-			return scenario.StationOpts{}
-		}
-		return scenario.StationOpts{GRC: grcCfg}
-	}
+	recv, send := c.stationSpecs(grcCfg)
 	switch {
 	case c.HiddenTerminals:
-		return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{Config: base, ReceiverOpts: recv})
+		return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{Config: base, ReceiverSpecs: recv})
 	case c.SharedAP:
 		return scenario.BuildSharedAP(scenario.SharedAPConfig{
-			Config: base, N: c.Pairs, Transport: c.Transport, ReceiverOpts: recv,
+			Config: base, N: c.Pairs, Transport: c.Transport, ReceiverSpecs: recv,
 		})
 	default:
 		return scenario.BuildPairs(scenario.PairsConfig{
 			Config: base, N: c.Pairs, Transport: c.Transport,
-			ReceiverOpts: recv, SenderOpts: send,
+			ReceiverSpecs: recv, SenderSpecs: send,
 		})
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"greedy80211/internal/detect"
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
-	"greedy80211/internal/sim"
 	"greedy80211/internal/stats"
 )
 
@@ -49,22 +47,18 @@ func runAbl1(cfg RunConfig) (*Result, error) {
 	}
 	rows, err := sweep(regimes, func(reg regime) (baseAttPoint, error) {
 		build := func(seed int64, spoof bool) (*scenario.World, error) {
+			var spoofer scenario.PolicySpec
+			if spoof {
+				spoofer = spoofForR1
+			}
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4),
 					ForceCapture: reg.force, DisableCapture: reg.disable,
 				},
-				N:         2,
-				Transport: scenario.TCP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if !spoof || i != 1 {
-						return scenario.StationOpts{}
-					}
-					victim, _ := w.Station(scenario.ReceiverName(0))
-					return scenario.StationOpts{
-						Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100, victim.ID),
-					}
-				},
+				N:             2,
+				Transport:     scenario.TCP,
+				ReceiverSpecs: lastGreedy(2, 1, spoofer),
 			})
 		}
 		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
@@ -154,20 +148,18 @@ func runAbl3(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(c rowCase) (map[int]float64, error) {
+		var nav scenario.PolicySpec
+		if c.greedy {
+			nav = scenario.PolicySpec{Name: scenario.PolicyNAVInflation, Frames: "cts"}
+		}
 		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, ControlRateBps: c.rate,
 				},
-				N:         2,
-				Transport: scenario.UDP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if !c.greedy || i != 1 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{Policy: greedy.NewNAVInflation(
-						w.Sched.RNG(), greedy.CTSOnly, 10*sim.Millisecond, 100)}
-				},
+				N:             2,
+				Transport:     scenario.UDP,
+				ReceiverSpecs: lastGreedy(2, 1, nav),
 			})
 		}, nil)
 		return flows, err

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"greedy80211/internal/greedy"
-	"greedy80211/internal/mac"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/stats"
@@ -31,9 +29,10 @@ func marginalLadderFER() phys.ErrorSpec {
 }
 
 // autoratePairs builds 2 pairs on a marginal link; senders optionally run
-// ARF, and the last receiver optionally misbehaves.
+// ARF, and the last receiver runs policy (zero: compliant).
 func autoratePairs(seed int64, tr scenario.Transport, useARF bool,
-	policy func(w *scenario.World) mac.ReceiverPolicy) (*scenario.World, error) {
+	policy scenario.PolicySpec) (*scenario.World, error) {
+	arf := scenario.StationSpec{ARF: useARF}
 	return scenario.BuildPairs(scenario.PairsConfig{
 		Config: scenario.Config{
 			Seed:         seed,
@@ -41,22 +40,10 @@ func autoratePairs(seed int64, tr scenario.Transport, useARF bool,
 			Error:        marginalLadderFER(),
 			ForceCapture: tr == scenario.TCP, // spoofing study keeps the paper's capture assumption
 		},
-		N:         2,
-		Transport: tr,
-		SenderOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if !useARF {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{
-				AutoRate: mac.NewARF(mac.Rates80211B(), 0, 0),
-			}
-		},
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i != 1 || policy == nil {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{Policy: policy(w)}
-		},
+		N:             2,
+		Transport:     tr,
+		SenderSpecs:   []scenario.StationSpec{arf, arf},
+		ReceiverSpecs: lastGreedy(2, 1, policy),
 	})
 }
 
@@ -85,11 +72,9 @@ func runExtA(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(c rowCase) (map[int]float64, error) {
-		var policy func(w *scenario.World) mac.ReceiverPolicy
+		var policy scenario.PolicySpec
 		if c.fake {
-			policy = func(w *scenario.World) mac.ReceiverPolicy {
-				return greedy.NewFakeACKer(w.Sched.RNG(), 100)
-			}
+			policy = fakePolicy(100)
 		}
 		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.UDP, c.arf, policy)
@@ -131,12 +116,9 @@ func runExtB(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(c rowCase) (map[int]float64, error) {
-		var policy func(w *scenario.World) mac.ReceiverPolicy
+		var policy scenario.PolicySpec
 		if c.spoof {
-			policy = func(w *scenario.World) mac.ReceiverPolicy {
-				r1, _ := w.Station(scenario.ReceiverName(0))
-				return greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)
-			}
+			policy = spoofForR1
 		}
 		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.TCP, c.arf, policy)

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"greedy80211/internal/detect"
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
-	"greedy80211/internal/sim"
 	"greedy80211/internal/stats"
 )
 
@@ -37,13 +35,8 @@ func runExtC(cfg RunConfig) (*Result, error) {
 				Config:    scenario.Config{Seed: seed, UseRTSCTS: true, Trace: dom},
 				N:         2,
 				Transport: scenario.UDP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != 1 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{Policy: greedy.NewNAVInflation(
-						w.Sched.RNG(), greedy.CTSOnly, 10*sim.Millisecond, 100)}
-				},
+				ReceiverSpecs: lastGreedy(2, 1,
+					scenario.PolicySpec{Name: scenario.PolicyNAVInflation, Frames: "cts"}),
 			})
 		}},
 		{"ack-spoofing BER 2e-4", func(seed int64, dom *detect.Domino) (*scenario.World, error) {
@@ -52,29 +45,16 @@ func runExtC(cfg RunConfig) (*Result, error) {
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4),
 					ForceCapture: true, Trace: dom,
 				},
-				N:         2,
-				Transport: scenario.TCP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != 1 {
-						return scenario.StationOpts{}
-					}
-					victim, _ := w.Station(scenario.ReceiverName(0))
-					return scenario.StationOpts{
-						Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100, victim.ID),
-					}
-				},
+				N:             2,
+				Transport:     scenario.TCP,
+				ReceiverSpecs: lastGreedy(2, 1, spoofForR1),
 			})
 		}},
 		{"fake-acks hidden terminals", func(seed int64, dom *detect.Domino) (*scenario.World, error) {
 			base := scenario.Config{Seed: seed, Trace: dom}
 			return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{
-				Config: base,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != 1 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), 100)}
-				},
+				Config:        base,
+				ReceiverSpecs: lastGreedy(2, 1, fakePolicy(100)),
 			})
 		}},
 	}

@@ -330,6 +330,17 @@ func sweep[X any, T any](xs []X, body func(x X) (T, error)) ([]T, error) {
 	return runner.Map(len(xs), func(i int) (T, error) { return body(xs[i]) })
 }
 
+// lastGreedy returns specs for n stations whose last k run policy p: the
+// "last k receivers misbehave" placement of the pairs experiments. A zero
+// p leaves every station compliant.
+func lastGreedy(n, k int, p scenario.PolicySpec) []scenario.StationSpec {
+	specs := make([]scenario.StationSpec, n)
+	for i := n - k; i < n; i++ {
+		specs[i].Policy = p
+	}
+	return specs
+}
+
 // pick trims a sweep to representative points in Quick mode: first, one
 // middle, and last.
 func pick(cfg RunConfig, full []float64) []float64 {

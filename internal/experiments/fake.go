@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/stats"
@@ -20,14 +19,18 @@ func registerFake() {
 // faking ACKs at greedy percentage gp.
 func hiddenWorld(seed int64, band phys.Band, gp float64, nGreedy int) (*scenario.World, error) {
 	return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{
-		Config: scenario.Config{Seed: seed, Band: band},
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i < 2-nGreedy || gp == 0 {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), gp)}
-		},
+		Config:        scenario.Config{Seed: seed, Band: band},
+		ReceiverSpecs: lastGreedy(2, nGreedy, fakePolicy(gp)),
 	})
+}
+
+// fakePolicy is misbehavior 3 at greedy percentage gp; zero gp never
+// fakes, so it is the compliant zero spec.
+func fakePolicy(gp float64) scenario.PolicySpec {
+	if gp == 0 {
+		return scenario.PolicySpec{}
+	}
+	return scenario.PolicySpec{Name: scenario.PolicyFakeACKs, GreedyPercent: &gp}
 }
 
 func runFig18(cfg RunConfig) (*Result, error) {
@@ -119,14 +122,9 @@ func inherentLossPairs(seed int64, dataFER, gp float64, nGreedy int) (*scenario.
 		Config: scenario.Config{
 			Seed: seed, UseRTSCTS: true, Error: phys.DataFERSpec(dataFER),
 		},
-		N:         2,
-		Transport: scenario.UDP,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i < 2-nGreedy || gp == 0 {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), gp)}
-		},
+		N:             2,
+		Transport:     scenario.UDP,
+		ReceiverSpecs: lastGreedy(2, nGreedy, fakePolicy(gp)),
 	})
 }
 
@@ -187,14 +185,9 @@ func runFig19(cfg RunConfig) (*Result, error) {
 					Config: scenario.Config{
 						Seed: seed, UseRTSCTS: true, Error: phys.DataFERSpec(fer),
 					},
-					N:         total,
-					Transport: scenario.UDP,
-					ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-						if i != total-1 {
-							return scenario.StationOpts{}
-						}
-						return scenario.StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), 100)}
-					},
+					N:             total,
+					Transport:     scenario.UDP,
+					ReceiverSpecs: lastGreedy(total, 1, fakePolicy(100)),
 				})
 			}, nil)
 			return flows, err

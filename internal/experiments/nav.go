@@ -28,19 +28,19 @@ func registerNAV() {
 // navPairs builds the canonical 2-pair world with receiver 2 greedy.
 func navPairs(seed int64, band phys.Band, tr scenario.Transport, set greedy.FrameSet,
 	extra sim.Time, gp float64, nGreedy, nPairs int) (*scenario.World, error) {
+	// Zero inflation leaves the receivers compliant (a PolicySpec reads
+	// zero as its 10 ms default); a zero percentage still installs the
+	// policy.
+	var nav scenario.PolicySpec
+	if extra > 0 {
+		nav = scenario.PolicySpec{Name: scenario.PolicyNAVInflation,
+			NAVInflation: extra, Frames: set.String(), GreedyPercent: &gp}
+	}
 	return scenario.BuildPairs(scenario.PairsConfig{
-		Config:    scenario.Config{Seed: seed, Band: band, UseRTSCTS: true},
-		N:         nPairs,
-		Transport: tr,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			// The last nGreedy receivers misbehave.
-			if i < nPairs-nGreedy || extra == 0 {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{
-				Policy: greedy.NewNAVInflation(w.Sched.RNG(), set, extra, gp),
-			}
-		},
+		Config:        scenario.Config{Seed: seed, Band: band, UseRTSCTS: true},
+		N:             nPairs,
+		Transport:     tr,
+		ReceiverSpecs: lastGreedy(nPairs, nGreedy, nav),
 	})
 }
 
@@ -334,18 +334,15 @@ func runFig9(cfg RunConfig) (*Result, error) {
 
 // sharedAP builds the one-sender topology with receiver n-1 greedy.
 func sharedAP(seed int64, tr scenario.Transport, n int, extra sim.Time) (*scenario.World, error) {
+	var nav scenario.PolicySpec
+	if extra > 0 {
+		nav = scenario.PolicySpec{Name: scenario.PolicyNAVInflation, NAVInflation: extra, Frames: "cts"}
+	}
 	return scenario.BuildSharedAP(scenario.SharedAPConfig{
-		Config:    scenario.Config{Seed: seed, Band: phys.Band80211B, UseRTSCTS: true},
-		N:         n,
-		Transport: tr,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i != n-1 || extra == 0 {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{
-				Policy: greedy.NewNAVInflation(w.Sched.RNG(), greedy.CTSOnly, extra, 100),
-			}
-		},
+		Config:        scenario.Config{Seed: seed, Band: phys.Band80211B, UseRTSCTS: true},
+		N:             n,
+		Transport:     tr,
+		ReceiverSpecs: lastGreedy(n, 1, nav),
 	})
 }
 

@@ -22,31 +22,31 @@ func registerSpoof() {
 	register("fig17", "Spoofed-ACK UDP goodput vs loss (1 AP, 2 receivers)", "Fig. 17 (§V-B)", runFig17)
 }
 
+// spoofForR1 is misbehavior 2 on behalf of R1 alone.
+var spoofForR1 = scenario.PolicySpec{Name: scenario.PolicyACKSpoofing,
+	Victims: []string{scenario.ReceiverName(0)}}
+
 // spoofPairs builds 2 TCP pairs where the last nGreedy receivers spoof
 // ACKs on behalf of the normal receivers, under channel BER.
 func spoofPairs(seed int64, band phys.Band, ber, gp float64, nGreedy int) (*scenario.World, error) {
+	if gp == 0 {
+		nGreedy = 0
+	}
+	specs := lastGreedy(2, nGreedy, scenario.PolicySpec{Name: scenario.PolicyACKSpoofing, GreedyPercent: &gp})
+	// R2 spoofs on behalf of R1. When both are greedy, R1 names no victim
+	// and so spoofs for every receiver: R2 does not exist yet when R1 is
+	// built.
+	if nGreedy > 0 {
+		specs[1].Policy.Victims = []string{scenario.ReceiverName(0)}
+	}
 	return scenario.BuildPairs(scenario.PairsConfig{
 		Config: scenario.Config{
 			Seed: seed, Band: band, UseRTSCTS: true,
 			Error: phys.BERSpec(ber), ForceCapture: true,
 		},
-		N:         2,
-		Transport: scenario.TCP,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i < 2-nGreedy || gp == 0 {
-				return scenario.StationOpts{}
-			}
-			// Spoof on behalf of the other pair's receiver (when both are
-			// greedy, each targets the other).
-			if victim, ok := w.Station(scenario.ReceiverName(1 - i)); ok {
-				return scenario.StationOpts{
-					Policy: greedy.NewACKSpoofer(w.Sched.RNG(), gp, victim.ID),
-				}
-			}
-			return scenario.StationOpts{
-				Policy: greedy.NewACKSpoofer(w.Sched.RNG(), gp),
-			}
-		},
+		N:             2,
+		Transport:     scenario.TCP,
+		ReceiverSpecs: specs,
 	})
 }
 
@@ -178,20 +178,16 @@ func runFig14(cfg RunConfig) (*Result, error) {
 	}
 	pts, err := sweep(ns, func(n int) (baseAttPoint, error) {
 		total := n + 1
+		spoofer := lastGreedy(total, 1, scenario.PolicySpec{Name: scenario.PolicyACKSpoofing})
 		// (a) shared AP: receiver total-1 spoofs for everyone else.
 		sharedFlows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildSharedAP(scenario.SharedAPConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
 				},
-				N:         total,
-				Transport: scenario.TCP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != total-1 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100)}
-				},
+				N:             total,
+				Transport:     scenario.TCP,
+				ReceiverSpecs: spoofer,
 			})
 		}, nil)
 		if err != nil {
@@ -204,14 +200,9 @@ func runFig14(cfg RunConfig) (*Result, error) {
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
 				},
-				N:         total,
-				Transport: scenario.TCP,
-				ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-					if i != total-1 {
-						return scenario.StationOpts{}
-					}
-					return scenario.StationOpts{Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100)}
-				},
+				N:             total,
+				Transport:     scenario.TCP,
+				ReceiverSpecs: spoofer,
 			})
 		}, nil)
 		return baseAttPoint{base: sharedFlows, att: sepFlows}, err
@@ -357,22 +348,19 @@ func runFig17(cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "fig17", Title: "Spoofed-ACK UDP goodput vs loss (1 AP, 2 receivers)"}
 	bers := pick(cfg, []float64{0, 1e-5, 2e-4, 4.4e-4, 8e-4})
 	build := func(seed int64, ber, gp float64) (*scenario.World, error) {
+		var spoof scenario.PolicySpec
+		if gp > 0 {
+			spoof = spoofForR1
+			spoof.GreedyPercent = &gp
+		}
 		return scenario.BuildSharedAP(scenario.SharedAPConfig{
 			Config: scenario.Config{
 				Seed: seed, UseRTSCTS: true, ForceCapture: true,
 				Error: phys.BERSpec(ber),
 			},
-			N:         2,
-			Transport: scenario.UDP,
-			ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-				if i != 1 || gp == 0 {
-					return scenario.StationOpts{}
-				}
-				r1, _ := w.Station(scenario.ReceiverName(0))
-				return scenario.StationOpts{
-					Policy: greedy.NewACKSpoofer(w.Sched.RNG(), gp, r1.ID),
-				}
-			},
+			N:             2,
+			Transport:     scenario.UDP,
+			ReceiverSpecs: lastGreedy(2, 1, spoof),
 		})
 	}
 	noGR1 := stats.Series{Name: "no GR: R1 (Mbps)"}

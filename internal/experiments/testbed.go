@@ -25,18 +25,16 @@ func registerTestbed() {
 // second receiver optionally greedy.
 func testbedPairs(seed int64, tr scenario.Transport, useRTS bool,
 	set greedy.FrameSet, greedyOn bool) (*scenario.World, error) {
+	var nav scenario.PolicySpec
+	if greedyOn {
+		nav = scenario.PolicySpec{Name: scenario.PolicyNAVInflation,
+			NAVInflation: phys.MaxNAV(), Frames: set.String()}
+	}
 	return scenario.BuildPairs(scenario.PairsConfig{
-		Config:    scenario.Config{Seed: seed, Band: phys.Band80211A, UseRTSCTS: useRTS},
-		N:         2,
-		Transport: tr,
-		ReceiverOpts: func(w *scenario.World, i int) scenario.StationOpts {
-			if i != 1 || !greedyOn {
-				return scenario.StationOpts{}
-			}
-			return scenario.StationOpts{
-				Policy: greedy.NewNAVInflation(w.Sched.RNG(), set, phys.MaxNAV(), 100),
-			}
-		},
+		Config:        scenario.Config{Seed: seed, Band: phys.Band80211A, UseRTSCTS: useRTS},
+		N:             2,
+		Transport:     tr,
+		ReceiverSpecs: lastGreedy(2, 1, nav),
 	})
 }
 
@@ -113,7 +111,7 @@ func runTab7(cfg RunConfig) (*Result, error) {
 // a milder BER so the victim's connection survives as it did on the
 // testbed (tab8).
 func sharedAPEmulation(seed int64, ber float64, tr scenario.Transport,
-	senderOpts func(w *scenario.World) scenario.StationOpts) (*scenario.World, error) {
+	sender scenario.StationOpts) (*scenario.World, error) {
 	w, err := scenario.NewWorld(scenario.Config{Seed: seed, Band: phys.Band80211A, Error: phys.BERSpec(ber)})
 	if err != nil {
 		return nil, err
@@ -124,11 +122,7 @@ func sharedAPEmulation(seed int64, ber float64, tr scenario.Transport,
 	if _, err := w.AddStation("R2", phys.Position{X: 5, Y: 5}, scenario.StationOpts{}); err != nil {
 		return nil, err
 	}
-	opts := scenario.StationOpts{}
-	if senderOpts != nil {
-		opts = senderOpts(w)
-	}
-	if _, err := w.AddStation("S1", phys.Position{}, opts); err != nil {
+	if _, err := w.AddStation("S1", phys.Position{}, sender); err != nil {
 		return nil, err
 	}
 	for i, rx := range []string{"R1", "R2"} {
@@ -153,16 +147,15 @@ func runTab8(cfg RunConfig) (*Result, error) {
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
 	base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 2e-4, scenario.TCP, nil)
+		return sharedAPEmulation(seed, 2e-4, scenario.TCP, scenario.StationOpts{})
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("no GR", base[1], base[2])
 	att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 2e-4, scenario.TCP, func(w *scenario.World) scenario.StationOpts {
-			return scenario.StationOpts{SpoofEmulationVictims: []string{"R1"}}
-		})
+		return sharedAPEmulation(seed, 2e-4, scenario.TCP,
+			scenario.StationOpts{SpoofEmulationVictims: []string{"R1"}})
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -180,16 +173,15 @@ func runTab9(cfg RunConfig) (*Result, error) {
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
 	base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 8e-4, scenario.UDP, nil)
+		return sharedAPEmulation(seed, 8e-4, scenario.UDP, scenario.StationOpts{})
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("no GR", base[1], base[2])
 	att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 8e-4, scenario.UDP, func(w *scenario.World) scenario.StationOpts {
-			return scenario.StationOpts{CWMinCapPeers: []string{"R2"}}
-		})
+		return sharedAPEmulation(seed, 8e-4, scenario.UDP,
+			scenario.StationOpts{CWMinCapPeers: []string{"R2"}})
 	}, nil)
 	if err != nil {
 		return nil, err

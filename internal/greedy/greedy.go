@@ -22,6 +22,7 @@ package greedy
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"greedy80211/internal/mac"
 	"greedy80211/internal/phys"
@@ -64,6 +65,67 @@ var (
 	// AllFrames inflates every frame the receiver transmits (Fig 4d).
 	AllFrames = FrameSet{RTS: true, CTS: true, Data: true, ACK: true}
 )
+
+// frameFields names each FrameSet member, in canonical print order.
+var frameFields = [...]struct {
+	name  string
+	field func(*FrameSet) *bool
+}{
+	{"rts", func(s *FrameSet) *bool { return &s.RTS }},
+	{"cts", func(s *FrameSet) *bool { return &s.CTS }},
+	{"data", func(s *FrameSet) *bool { return &s.Data }},
+	{"ack", func(s *FrameSet) *bool { return &s.ACK }},
+}
+
+// String prints the set as a "+"-joined subset of rts/cts/data/ack in
+// that order ("cts+ack"), "all" for every type, or "" for the empty set.
+// ParseFrameSet inverts it.
+func (s FrameSet) String() string {
+	if s == AllFrames {
+		return "all"
+	}
+	var parts []string
+	for _, f := range frameFields {
+		if *f.field(&s) {
+			parts = append(parts, f.name)
+		}
+	}
+	return strings.Join(parts, "+")
+}
+
+// ParseFrameSet parses a "+"-joined subset of rts/cts/data/ack in any
+// order, or "all". The empty string is the empty set, which callers read
+// as their default.
+func ParseFrameSet(name string) (FrameSet, error) {
+	var s FrameSet
+	switch name {
+	case "":
+		return s, nil
+	case "all":
+		return AllFrames, nil
+	}
+	for _, part := range strings.Split(name, "+") {
+		b := member(&s, part)
+		if b == nil {
+			return FrameSet{}, fmt.Errorf("greedy: frame set %q: unknown frame %q (want a +-joined subset of rts, cts, data, ack, or all)", name, part)
+		}
+		if *b {
+			return FrameSet{}, fmt.Errorf("greedy: frame set %q repeats %q", name, part)
+		}
+		*b = true
+	}
+	return s, nil
+}
+
+// member returns the field of s that a frame name selects, or nil.
+func member(s *FrameSet, name string) *bool {
+	for _, f := range frameFields {
+		if f.name == name {
+			return f.field(s)
+		}
+	}
+	return nil
+}
 
 // gpDraw reports whether the receiver behaves greedily this opportunity.
 func gpDraw(rng *rand.Rand, percent float64) bool {

@@ -33,6 +33,46 @@ func TestFrameSetContains(t *testing.T) {
 	}
 }
 
+// TestFrameSetRoundTrip: every one of the 16 frame sets prints and
+// parses back to itself.
+func TestFrameSetRoundTrip(t *testing.T) {
+	for bits := 0; bits < 16; bits++ {
+		set := FrameSet{RTS: bits&1 != 0, CTS: bits&2 != 0, Data: bits&4 != 0, ACK: bits&8 != 0}
+		got, err := ParseFrameSet(set.String())
+		if err != nil || got != set {
+			t.Errorf("ParseFrameSet(%q) = %+v, %v; want %+v", set.String(), got, err, set)
+		}
+	}
+}
+
+func TestParseFrameSet(t *testing.T) {
+	tests := []struct {
+		in      string
+		want    FrameSet
+		wantErr bool
+	}{
+		{"cts", CTSOnly, false},
+		{"ack", ACKOnly, false},
+		{"cts+ack", CTSAndACK, false},
+		{"rts+cts", RTSAndCTS, false},
+		{"all", AllFrames, false},
+		{"rts", FrameSet{RTS: true}, false},
+		{"ack+cts", CTSAndACK, false},
+		{"rts+cts+data+ack", AllFrames, false},
+		{"", FrameSet{}, false},
+		{"cts+cts", FrameSet{}, true},
+		{"cts+", FrameSet{}, true},
+		{"datagram", FrameSet{}, true},
+		{"all+cts", FrameSet{}, true},
+	}
+	for _, tt := range tests {
+		got, err := ParseFrameSet(tt.in)
+		if (err != nil) != tt.wantErr || got != tt.want {
+			t.Errorf("ParseFrameSet(%q) = %+v, %v; want %+v (error %v)", tt.in, got, err, tt.want, tt.wantErr)
+		}
+	}
+}
+
 func TestNAVInflationTargetsFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := NewNAVInflation(rng, CTSOnly, 10*sim.Millisecond, 100)

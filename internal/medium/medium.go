@@ -10,9 +10,8 @@
 // scales with the transmitter's neighbor count, not the total radio
 // population. Radios on other channels cost zero events. A world where
 // everyone is in range of everyone on one channel — the paper's hotspot —
-// has full neighbor sets, making the scoped path a strict generalization
-// of the old broadcast-to-all delivery (Config.DisableNeighborScoping
-// keeps the legacy O(radios) scan for comparison; outputs are identical).
+// has full neighbor sets, so scoped delivery is a strict generalization
+// of broadcast-to-all delivery.
 package medium
 
 import (
@@ -102,13 +101,6 @@ type Config struct {
 	// channel-occupancy bumps at frame grant time — the always-on
 	// telemetry path (no tap required, plain counter arithmetic).
 	Metrics *metrics.Registry
-	// DisableNeighborScoping falls back to the legacy broadcast fan-out:
-	// every transmission scans all radios instead of the transmitter's
-	// neighbor list. Deliveries, RNG draws, and therefore all outputs are
-	// byte-identical either way (the scan applies the same channel and
-	// carrier-sense-range membership in the same order); the switch exists
-	// for the neighbor-vs-broadcast identity tests and scaling benchmarks.
-	DisableNeighborScoping bool
 }
 
 // Tap receives channel events for tracing and accounting.
@@ -170,10 +162,7 @@ type radio struct {
 	// lazily whenever the medium's topology generation moves past topoGen
 	// (a radio was added or repositioned).
 	neighbors []neighbor
-	// links is the legacy full-population propagation cache (indexed like
-	// Medium.order), maintained only under DisableNeighborScoping.
-	links   []link
-	topoGen uint64
+	topoGen   uint64
 }
 
 // neighbor is one interference-graph edge: the destination radio plus the
@@ -183,14 +172,6 @@ type neighbor struct {
 	inComm bool
 	rxDBm  float64
 	delay  sim.Time
-}
-
-// link is the cached propagation from one radio to another (legacy
-// broadcast path).
-type link struct {
-	inCS, inComm bool
-	rxPowerDBm   float64
-	delay        sim.Time
 }
 
 // Medium is the shared channel. Not safe for concurrent use; it is driven
@@ -324,15 +305,6 @@ func (m *Medium) NeighborCount(id mac.NodeID) int {
 	if r.topoGen != m.topoGen {
 		m.buildTopology(r)
 	}
-	if m.cfg.DisableNeighborScoping {
-		n := 0
-		for i, o := range m.order {
-			if o != r && o.channel == r.channel && r.links[i].inCS {
-				n++
-			}
-		}
-		return n
-	}
 	return len(r.neighbors)
 }
 
@@ -395,23 +367,6 @@ func (m *Medium) Transmit(src mac.NodeID, f *mac.Frame, airtime sim.Time) {
 	if tx.topoGen != m.topoGen {
 		m.buildTopology(tx)
 	}
-	if m.cfg.DisableNeighborScoping {
-		// Legacy broadcast fan-out: scan the whole population, applying
-		// the same membership test the neighbor list precomputes. The two
-		// paths visit identical receivers in identical order, so RNG draws
-		// and outputs match byte for byte.
-		for i, o := range m.order {
-			if o == tx || o.channel != tx.channel {
-				continue
-			}
-			lk := &tx.links[i]
-			if !lk.inCS {
-				continue
-			}
-			m.scheduleArrival(o, f, src, lk.inComm, lk.rxPowerDBm, lk.delay, now, airtime)
-		}
-		return
-	}
 	for i := range tx.neighbors {
 		nb := &tx.neighbors[i]
 		m.scheduleArrival(nb.o, f, src, nb.inComm, nb.rxDBm, nb.delay, now, airtime)
@@ -436,26 +391,12 @@ func (m *Medium) scheduleArrival(o *radio, f *mac.Frame, from mac.NodeID,
 	m.sched.AtCall(a.start, beginArrivalEvent, a)
 }
 
-// buildTopology refreshes r's cached adjacency. Under neighbor scoping
-// (the default) it rebuilds the interference-graph edge list: co-channel
+// buildTopology rebuilds r's interference-graph edge list: co-channel
 // radios within carrier-sense range in registration order, each edge
-// carrying the directed-link propagation. Under DisableNeighborScoping it
-// rebuilds the legacy full-population link cache instead.
+// carrying the directed-link propagation. The order fixes the order of
+// the RNG draws in scheduleArrival, so it is part of every output.
 func (m *Medium) buildTopology(r *radio) {
 	r.topoGen = m.topoGen
-	if m.cfg.DisableNeighborScoping {
-		r.links = make([]link, len(m.order))
-		for i, o := range m.order {
-			dist := r.pos.DistanceTo(o.pos)
-			r.links[i] = link{
-				inCS:       dist <= m.cfg.Propagation.CSRange,
-				inComm:     dist <= m.cfg.Propagation.CommRange,
-				rxPowerDBm: m.cfg.Propagation.RxPowerDBm(dist),
-				delay:      phys.PropagationDelay(dist),
-			}
-		}
-		return
-	}
 	r.neighbors = r.neighbors[:0]
 	for _, o := range m.order {
 		if o == r || o.channel != r.channel {

@@ -32,10 +32,10 @@ const DataFERMinUnits = 200
 // ErrorSpec is the one-field-of-record description of a channel error
 // model: a tagged sum over the processes the simulator knows, with only
 // the fields of the selected kind meaningful. It is JSON-serializable, so
-// campaign specs and TopologySpecs can carry it, and it replaces the old
-// DefaultBER / DefaultFER / DefaultDataFER / RateError precedence stack
-// in scenario.Config, where each knob silently overrode the previous one;
-// Validate rejects conflicting settings instead.
+// campaign specs and TopologySpecs can carry it, and it is the only way
+// to give a scenario.Config a channel error model. Validate rejects a
+// spec that sets another kind's parameters, so one config cannot carry
+// two error models.
 type ErrorSpec struct {
 	// Kind selects the process; the remaining fields parameterize it.
 	Kind ErrorKind `json:"kind,omitempty"`
@@ -74,10 +74,9 @@ func (s ErrorSpec) IsZero() bool {
 		s.MinUnits == 0 && len(s.FERByRate) == 0
 }
 
-// Validate rejects unknown kinds, out-of-range probabilities, and —
-// unlike the precedence stack it replaces — any parameter that belongs to
-// a different kind than the selected one, so a config cannot silently
-// carry two half-specified error models.
+// Validate rejects unknown kinds, out-of-range probabilities, and any
+// parameter that belongs to a different kind than the selected one, so a
+// config cannot silently carry two half-specified error models.
 func (s ErrorSpec) Validate() error {
 	checkProb := func(name string, v float64) error {
 		if v < 0 || v > 1 {

@@ -41,19 +41,10 @@ type PairsConfig struct {
 	PayloadBytes int
 	// ReceiverSpecs declaratively customizes receiver i's station (greedy
 	// policy, GRC, queue cap, position); missing indices are normal
-	// receivers. Specs are JSON-serializable, so campaign and topology
-	// specs can express greedy mixes without Go closures.
+	// receivers, and more than N entries is an error.
 	ReceiverSpecs []StationSpec
 	// SenderSpecs declaratively customizes sender i's station.
 	SenderSpecs []StationSpec
-	// ReceiverOpts customizes receiver i's station with a closure — the
-	// func-based wrapper around ReceiverSpecs for call sites that need
-	// Go values (custom policies, rate controllers). Mutually exclusive
-	// with ReceiverSpecs.
-	ReceiverOpts func(w *World, i int) StationOpts
-	// SenderOpts customizes sender i's station; usually nil (APs behave).
-	// Mutually exclusive with SenderSpecs.
-	SenderOpts func(w *World, i int) StationOpts
 }
 
 // BuildPairs constructs the world and its flows (flow IDs 1..n).
@@ -67,18 +58,24 @@ func BuildPairs(cfg PairsConfig) (*World, error) {
 	if cfg.CBRRateBps == 0 {
 		cfg.CBRRateBps = DefaultCBRRateBps
 	}
+	if err := checkSpecs("receiver", cfg.ReceiverSpecs, cfg.N); err != nil {
+		return nil, err
+	}
+	if err := checkSpecs("sender", cfg.SenderSpecs, cfg.N); err != nil {
+		return nil, err
+	}
 	w, err := NewWorld(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	// Receivers first so sender opts (emulation knobs) can reference them.
+	// Receivers first so sender specs (emulation knobs) can reference them.
 	// Pairs sit 30 m apart: every station is well inside every other's
 	// communication range (250 m default), while each pair's own receiver
 	// is ≥10 dB stronger at its sender than any other pair's receiver —
 	// the regime in which GRC's capture-based spoof recovery is safe.
 	for i := 0; i < cfg.N; i++ {
 		def := phys.Position{X: 5, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
+		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +85,7 @@ func BuildPairs(cfg PairsConfig) (*World, error) {
 	}
 	for i := 0; i < cfg.N; i++ {
 		def := phys.Position{X: 0, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.SenderSpecs, cfg.SenderOpts)
+		opts, pos, err := stationFor(w, i, def, cfg.SenderSpecs)
 		if err != nil {
 			return nil, err
 		}
@@ -118,10 +115,8 @@ type SharedAPConfig struct {
 	Transport    Transport
 	CBRRateBps   float64
 	PayloadBytes int
-	// ReceiverSpecs declaratively customizes receiver i; mutually
-	// exclusive with ReceiverOpts.
+	// ReceiverSpecs declaratively customizes receiver i.
 	ReceiverSpecs []StationSpec
-	ReceiverOpts  func(w *World, i int) StationOpts
 }
 
 // BuildSharedAP constructs the world; flow i+1 goes to receiver i. The
@@ -137,13 +132,16 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 	if cfg.CBRRateBps == 0 {
 		cfg.CBRRateBps = DefaultCBRRateBps
 	}
+	if err := checkSpecs("receiver", cfg.ReceiverSpecs, cfg.N); err != nil {
+		return nil, err
+	}
 	w, err := NewWorld(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.N; i++ {
 		def := phys.Position{X: 5, Y: float64(i) * 3}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
+		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs)
 		if err != nil {
 			return nil, err
 		}
@@ -169,14 +167,11 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 }
 
 // HiddenPairsConfig configures the fake-ACK collision topology — the
-// same Config-embedding shape as the other builders, with the usual
-// declarative/closure receiver customization pair.
+// same Config-embedding shape as the other builders.
 type HiddenPairsConfig struct {
 	Config
-	// ReceiverSpecs declaratively customizes receiver i (0 = R1, 1 = R2);
-	// mutually exclusive with ReceiverOpts.
+	// ReceiverSpecs declaratively customizes receiver i (0 = R1, 1 = R2).
 	ReceiverSpecs []StationSpec
-	ReceiverOpts  func(w *World, i int) StationOpts
 }
 
 // BuildHiddenPairs constructs the fake-ACK collision topology of Fig 18:
@@ -188,6 +183,9 @@ func BuildHiddenPairs(cfg HiddenPairsConfig) (*World, error) {
 	prop := phys.GRCPropagation()
 	cfg.Propagation = &prop
 	cfg.UseRTSCTS = false
+	if err := checkSpecs("receiver", cfg.ReceiverSpecs, 2); err != nil {
+		return nil, err
+	}
 	w, err := NewWorld(cfg.Config)
 	if err != nil {
 		return nil, err
@@ -205,15 +203,10 @@ func BuildHiddenPairs(cfg HiddenPairsConfig) (*World, error) {
 		{SenderName(1), 108.9},
 	}
 	for i, p := range positions {
-		var opts StationOpts
-		def := phys.Position{X: p.x}
-		pos := def
-		if i < 2 {
-			var err error
-			opts, pos, err = stationFor(w, i, def, cfg.ReceiverSpecs, cfg.ReceiverOpts)
-			if err != nil {
-				return nil, err
-			}
+		// At most two specs, so the senders (i = 2, 3) stay compliant.
+		opts, pos, err := stationFor(w, i, phys.Position{X: p.x}, cfg.ReceiverSpecs)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := w.AddStation(p.name, pos, opts); err != nil {
 			return nil, err

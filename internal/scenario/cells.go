@@ -217,7 +217,7 @@ func BuildCells(cfg CellsConfig) (*World, error) {
 				X: center.X + cell.Radius*math.Cos(theta),
 				Y: center.Y + cell.Radius*math.Sin(theta),
 			}
-			opts, pos, err := stationFor(w, s, def, cell.StationSpecs, nil)
+			opts, pos, err := stationFor(w, s, def, cell.StationSpecs)
 			if err != nil {
 				return nil, err
 			}

@@ -20,7 +20,7 @@ func TestTopologySpecJSONRoundTrip(t *testing.T) {
 			Channel:  6,
 			Stations: 5,
 			StationSpecs: []StationSpec{
-				{}, {Policy: PolicySpec{Name: PolicyFakeACKs, GreedyPercent: 80}},
+				{}, {Policy: PolicySpec{Name: PolicyFakeACKs, GreedyPercent: percent(80)}},
 			},
 		}},
 	}

@@ -5,21 +5,28 @@ import (
 	"testing"
 
 	"greedy80211/internal/phys"
-	"greedy80211/internal/sim"
 )
 
-// TestConfigErrorSpecConflictRejected: a Config carrying both the typed
-// Error spec and any deprecated per-kind field is an error, not a silent
-// precedence decision.
+// TestConfigErrorSpecConflictRejected: a Config whose Error spec carries
+// a second model's parameters next to its own kind is an error, not a
+// silent precedence decision.
 func TestConfigErrorSpecConflictRejected(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"spec+ber":     {Seed: 1, Error: phys.BERSpec(1e-4), DefaultBER: 1e-4},
-		"spec+fer":     {Seed: 1, Error: phys.BERSpec(1e-4), DefaultFER: 0.2},
-		"spec+datafer": {Seed: 1, Error: phys.FERSpec(0.2), DefaultDataFER: 0.5},
-		"spec+ladder":  {Seed: 1, Error: phys.FERSpec(0.2), RateError: phys.RateLadderFER{}},
+	withBER := phys.FERSpec(0.2)
+	withBER.BER = 1e-4
+	withFER := phys.BERSpec(1e-4)
+	withFER.FER = 0.2
+	withDataGate := phys.BERSpec(1e-4)
+	withDataGate.MinUnits = phys.DataFERMinUnits
+	withLadder := phys.FERSpec(0.2)
+	withLadder.FERByRate = map[int64]float64{phys.Rate11Mbps: 0.5}
+	for name, spec := range map[string]phys.ErrorSpec{
+		"spec+ber":     withBER,
+		"spec+fer":     withFER,
+		"spec+datafer": withDataGate,
+		"spec+ladder":  withLadder,
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := NewWorld(cfg); err == nil || !strings.Contains(err.Error(), "conflicts") {
+			if _, err := NewWorld(Config{Seed: 1, Error: spec}); err == nil || !strings.Contains(err.Error(), "conflicts") {
 				t.Fatalf("NewWorld = %v, want conflict error", err)
 			}
 		})
@@ -27,38 +34,5 @@ func TestConfigErrorSpecConflictRejected(t *testing.T) {
 	// An invalid spec is rejected too.
 	if _, err := NewWorld(Config{Seed: 1, Error: phys.ErrorSpec{BER: 1e-4}}); err == nil {
 		t.Fatal("NewWorld accepted a kindless spec with parameters")
-	}
-}
-
-// TestConfigLegacyErrorAdapter: the deprecated fields keep their old
-// silent precedence (DataFER over FER over BER) and produce worlds
-// byte-identical to the equivalent typed spec.
-func TestConfigLegacyErrorAdapter(t *testing.T) {
-	goodputs := func(cfg Config) []float64 {
-		t.Helper()
-		w, err := BuildPairs(PairsConfig{Config: cfg, N: 2, Transport: UDP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Run(500 * sim.Millisecond)
-		var out []float64
-		for _, fl := range w.Flows() {
-			out = append(out, fl.GoodputMbps(500*sim.Millisecond))
-		}
-		return out
-	}
-	legacy := goodputs(Config{
-		Seed: 42, UseRTSCTS: true,
-		// All three set: the old stack silently picks DataFER.
-		DefaultDataFER: 0.4, DefaultFER: 0.2, DefaultBER: 1e-4,
-	})
-	spec := goodputs(Config{Seed: 42, UseRTSCTS: true, Error: phys.DataFERSpec(0.4)})
-	if len(legacy) != len(spec) {
-		t.Fatalf("flow counts differ: %d vs %d", len(legacy), len(spec))
-	}
-	for i := range legacy {
-		if legacy[i] != spec[i] {
-			t.Fatalf("flow %d: legacy %v != spec %v", i+1, legacy[i], spec[i])
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"greedy80211/internal/analytic"
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
 	"greedy80211/internal/trace"
@@ -52,27 +51,28 @@ func runFuzzWorld(t *testing.T, seed int64, rng *rand.Rand) {
 
 	n := 1 + rng.Intn(4)
 	tr := transports[rng.Intn(2)]
+	specs := make([]StationSpec, n)
+	for i := range specs {
+		var p PolicySpec
+		switch rng.Intn(4) {
+		case 1:
+			p = PolicySpec{Name: PolicyNAVInflation,
+				NAVInflation: sim.Time(1+rng.Intn(30)) * sim.Millisecond}
+		case 2:
+			p = PolicySpec{Name: PolicyACKSpoofing}
+		case 3:
+			p = PolicySpec{Name: PolicyFakeACKs}
+		default:
+			continue
+		}
+		p.GreedyPercent = percent(float64(rng.Intn(101)))
+		specs[i].Policy = p
+	}
 	w, err := BuildPairs(PairsConfig{
-		Config:    cfg,
-		N:         n,
-		Transport: tr,
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			switch rng.Intn(4) {
-			case 1:
-				return StationOpts{Policy: greedy.NewNAVInflation(
-					w.Sched.RNG(), greedy.CTSAndACK,
-					sim.Time(1+rng.Intn(30))*sim.Millisecond,
-					float64(rng.Intn(101)))}
-			case 2:
-				return StationOpts{Policy: greedy.NewACKSpoofer(
-					w.Sched.RNG(), float64(rng.Intn(101)))}
-			case 3:
-				return StationOpts{Policy: greedy.NewFakeACKer(
-					w.Sched.RNG(), float64(rng.Intn(101)))}
-			default:
-				return StationOpts{}
-			}
-		},
+		Config:        cfg,
+		N:             n,
+		Transport:     tr,
+		ReceiverSpecs: specs,
 	})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -219,15 +219,10 @@ func TestSaturationModelMatchesSimulator(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	build := func() *World {
 		w, err := BuildPairs(PairsConfig{
-			Config:    Config{Seed: 77, UseRTSCTS: true, Error: phys.BERSpec(2e-4)},
-			N:         2,
-			Transport: TCP,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				if i != 1 {
-					return StationOpts{}
-				}
-				return StationOpts{Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100)}
-			},
+			Config:        Config{Seed: 77, UseRTSCTS: true, Error: phys.BERSpec(2e-4)},
+			N:             2,
+			Transport:     TCP,
+			ReceiverSpecs: []StationSpec{{}, {Policy: PolicySpec{Name: PolicyACKSpoofing}}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -65,13 +65,8 @@ func TestNAVInflationUDPStarvation(t *testing.T) {
 		Config:    Config{Seed: 3, UseRTSCTS: true},
 		N:         2,
 		Transport: UDP,
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			if i != 1 {
-				return StationOpts{}
-			}
-			return StationOpts{Policy: greedy.NewNAVInflation(
-				w.Sched.RNG(), greedy.CTSAndACK, 5*sim.Millisecond, 100)}
-		},
+		ReceiverSpecs: []StationSpec{{}, {Policy: PolicySpec{
+			Name: PolicyNAVInflation, NAVInflation: 5 * sim.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +91,8 @@ func TestNAVInflationTCPGain(t *testing.T) {
 			Config:    Config{Seed: 5, UseRTSCTS: true},
 			N:         2,
 			Transport: TCP,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				if i != 1 {
-					return StationOpts{}
-				}
-				return StationOpts{Policy: greedy.NewNAVInflation(
-					w.Sched.RNG(), greedy.CTSOnly, extra, 100)}
-			},
+			ReceiverSpecs: []StationSpec{{}, {Policy: PolicySpec{
+				Name: PolicyNAVInflation, NAVInflation: extra, Frames: "cts"}}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,6 +112,14 @@ func TestNAVInflationTCPGain(t *testing.T) {
 	}
 }
 
+// spooferSpecs makes R2 spoof ACKs for R1 when spoof is set.
+func spooferSpecs(spoof bool) []StationSpec {
+	if !spoof {
+		return nil
+	}
+	return []StationSpec{{}, {Policy: PolicySpec{Name: PolicyACKSpoofing, Victims: []string{ReceiverName(0)}}}}
+}
+
 // Fig 11 shape: ACK spoofing under loss hurts the normal TCP flow.
 func TestSpoofingDegradesNormalTCP(t *testing.T) {
 	build := func(seed int64, spoof bool) *World {
@@ -129,18 +127,12 @@ func TestSpoofingDegradesNormalTCP(t *testing.T) {
 			Config: Config{
 				Seed:         seed,
 				UseRTSCTS:    true,
-				DefaultBER:   2e-4,
+				Error:        phys.BERSpec(2e-4),
 				ForceCapture: true,
 			},
-			N:         2,
-			Transport: TCP,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				if !spoof || i != 1 {
-					return StationOpts{}
-				}
-				r1, _ := w.Station(ReceiverName(0))
-				return StationOpts{Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)}
-			},
+			N:             2,
+			Transport:     TCP,
+			ReceiverSpecs: spooferSpecs(spoof),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -176,13 +168,8 @@ func TestSpoofingDegradesNormalTCP(t *testing.T) {
 // the greedy receiver goodput and keep its sender's CW at the minimum.
 func TestFakeACKHiddenTerminals(t *testing.T) {
 	w, err := BuildHiddenPairs(HiddenPairsConfig{
-		Config: Config{Seed: 9},
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			if i != 1 {
-				return StationOpts{}
-			}
-			return StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), 100)}
-		},
+		Config:        Config{Seed: 9},
+		ReceiverSpecs: []StationSpec{{}, {Policy: PolicySpec{Name: PolicyFakeACKs}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,27 +197,17 @@ func TestFakeACKHiddenTerminals(t *testing.T) {
 func TestGRCDefeatsNAVInflation(t *testing.T) {
 	grcCfg := detect.DefaultConfig()
 	build := func(withGRC bool) *World {
+		var grc *detect.Config
+		if withGRC {
+			grc = &grcCfg
+		}
 		w, err := BuildPairs(PairsConfig{
 			Config:    Config{Seed: 11, UseRTSCTS: true},
 			N:         2,
 			Transport: UDP,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				opts := StationOpts{}
-				if withGRC {
-					opts.GRC = &grcCfg
-				}
-				if i == 1 {
-					opts.Policy = greedy.NewNAVInflation(
-						w.Sched.RNG(), greedy.CTSOnly, 31*sim.Millisecond, 100)
-				}
-				return opts
-			},
-			SenderOpts: func(w *World, i int) StationOpts {
-				if !withGRC {
-					return StationOpts{}
-				}
-				return StationOpts{GRC: &grcCfg}
-			},
+			ReceiverSpecs: []StationSpec{{GRC: grc}, {GRC: grc, Policy: PolicySpec{
+				Name: PolicyNAVInflation, NAVInflation: 31 * sim.Millisecond, Frames: "cts"}}},
+			SenderSpecs: []StationSpec{{GRC: grc}, {GRC: grc}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -324,15 +301,9 @@ func TestCrossLayerDetectsSpoofing(t *testing.T) {
 			Config: Config{
 				Seed: 31, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
 			},
-			N:         2,
-			Transport: TCP,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				if !spoof || i != 1 {
-					return StationOpts{}
-				}
-				r1, _ := w.Station(ReceiverName(0))
-				return StationOpts{Policy: greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)}
-			},
+			N:             2,
+			Transport:     TCP,
+			ReceiverSpecs: spooferSpecs(spoof),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -424,16 +395,10 @@ func TestConnectWiredValidation(t *testing.T) {
 
 func TestSharedAPHeadOfLineBlocking(t *testing.T) {
 	w, err := BuildSharedAP(SharedAPConfig{
-		Config:    Config{Seed: 17, UseRTSCTS: true},
-		N:         2,
-		Transport: UDP,
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			if i != 1 {
-				return StationOpts{}
-			}
-			return StationOpts{Policy: greedy.NewNAVInflation(
-				w.Sched.RNG(), greedy.CTSOnly, 10*sim.Millisecond, 100)}
-		},
+		Config:        Config{Seed: 17, UseRTSCTS: true},
+		N:             2,
+		Transport:     UDP,
+		ReceiverSpecs: []StationSpec{{}, {Policy: PolicySpec{Name: PolicyNAVInflation, Frames: "cts"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +484,7 @@ func TestMedianOverSeeds(t *testing.T) {
 // receiver (application loss with a clean-looking MAC) from an honest one.
 func TestFakeACKDetectionViaProbing(t *testing.T) {
 	build := func(fake bool) (*World, *ProbeFlow) {
-		w, err := BuildPairs(PairsConfig{
+		cfg := PairsConfig{
 			// BER high enough that data frames (and probes) are lossy
 			// while control frames mostly survive.
 			Config:    Config{Seed: 23, UseRTSCTS: true, Error: phys.BERSpec(8e-4)},
@@ -528,13 +493,11 @@ func TestFakeACKDetectionViaProbing(t *testing.T) {
 			// Keep the MAC queue unsaturated so probes are not
 			// queue-dropped before they ever reach the air.
 			CBRRateBps: 5e5,
-			ReceiverOpts: func(w *World, i int) StationOpts {
-				if !fake {
-					return StationOpts{}
-				}
-				return StationOpts{Policy: greedy.NewFakeACKer(w.Sched.RNG(), 100)}
-			},
-		})
+		}
+		if fake {
+			cfg.ReceiverSpecs = []StationSpec{{Policy: PolicySpec{Name: PolicyFakeACKs}}}
+		}
+		w, err := BuildPairs(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,19 +534,30 @@ func TestFakeACKDetectionViaProbing(t *testing.T) {
 func TestSpoofEmulationOption(t *testing.T) {
 	// Table VIII substrate: sender treats ACK timeouts toward R1 as
 	// success; under loss, R1's TCP suffers while R2's does not.
-	w, err := BuildPairs(PairsConfig{
-		Config:    Config{Seed: 19, UseRTSCTS: true, Error: phys.BERSpec(2e-4)},
-		N:         2,
-		Transport: TCP,
-		SenderOpts: func(w *World, i int) StationOpts {
-			if i != 0 {
-				return StationOpts{}
-			}
-			return StationOpts{SpoofEmulationVictims: []string{ReceiverName(0)}}
-		},
-	})
+	// The BuildPairs layout, built by hand: the emulation knob is a
+	// StationOpts value with no StationSpec counterpart.
+	w, err := NewWorld(Config{Seed: 19, UseRTSCTS: true, Error: phys.BERSpec(2e-4)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, st := range []struct {
+		name string
+		pos  phys.Position
+		opts StationOpts
+	}{
+		{ReceiverName(0), phys.Position{X: 5}, StationOpts{}},
+		{ReceiverName(1), phys.Position{X: 5, Y: 30}, StationOpts{}},
+		{SenderName(0), phys.Position{}, StationOpts{SpoofEmulationVictims: []string{ReceiverName(0)}}},
+		{SenderName(1), phys.Position{Y: 30}, StationOpts{}},
+	} {
+		if _, err := w.AddStation(st.name, st.pos, st.opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := w.AddTCPFlow(i+1, SenderName(i), ReceiverName(i), transport.DefaultTCPConfig(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w.Run(5 * sim.Second)
 	f1, _ := w.Flow(1)

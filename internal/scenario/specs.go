@@ -31,12 +31,16 @@ type PolicySpec struct {
 	// Name selects the misbehavior (PolicyNone, PolicyNAVInflation,
 	// PolicyACKSpoofing, PolicyFakeACKs).
 	Name string `json:"name,omitempty"`
-	// GreedyPercent is how often the receiver misbehaves; zero means 100.
-	GreedyPercent float64 `json:"greedy_percent,omitempty"`
+	// GreedyPercent is how often the receiver misbehaves, in [0,100]; nil
+	// means 100. A 0% policy never misbehaves, yet it is not a compliant
+	// receiver: building it takes a random stream from the world, which
+	// shifts the streams of every later station.
+	GreedyPercent *float64 `json:"greedy_percent,omitempty"`
 	// NAVInflation is misbehavior 1's added duration; zero means 10 ms.
 	NAVInflation sim.Time `json:"nav_inflation,omitempty"`
-	// Frames selects misbehavior 1's manipulated frame types: "cts",
-	// "ack", "cts+ack" (default), "rts+cts", or "all".
+	// Frames selects misbehavior 1's manipulated frame types: a
+	// "+"-joined subset of rts/cts/data/ack, or "all" (greedy.FrameSet's
+	// String form); empty means "cts+ack".
 	Frames string `json:"frames,omitempty"`
 	// Victims lists already-added stations an ACK spoofer forges ACKs
 	// for.
@@ -45,24 +49,15 @@ type PolicySpec struct {
 
 // IsZero reports whether the spec is the compliant zero value.
 func (p PolicySpec) IsZero() bool {
-	return p.Name == PolicyNone && p.GreedyPercent == 0 && p.NAVInflation == 0 &&
+	return p.Name == PolicyNone && p.GreedyPercent == nil && p.NAVInflation == 0 &&
 		p.Frames == "" && len(p.Victims) == 0
-}
-
-// frameSets maps PolicySpec.Frames names to greedy frame sets.
-var frameSets = map[string]greedy.FrameSet{
-	"cts":     greedy.CTSOnly,
-	"ack":     greedy.ACKOnly,
-	"cts+ack": greedy.CTSAndACK,
-	"rts+cts": greedy.RTSAndCTS,
-	"all":     greedy.AllFrames,
 }
 
 // Validate reports whether the spec is well-formed: a known policy name,
 // percentages in range, and no knob that belongs to a different policy.
 func (p PolicySpec) Validate() error {
-	if p.GreedyPercent < 0 || p.GreedyPercent > 100 {
-		return fmt.Errorf("scenario: PolicySpec.GreedyPercent %v out of [0,100]", p.GreedyPercent)
+	if gp := p.GreedyPercent; gp != nil && (*gp < 0 || *gp > 100) {
+		return fmt.Errorf("scenario: PolicySpec.GreedyPercent %v out of [0,100]", *gp)
 	}
 	switch p.Name {
 	case PolicyNone:
@@ -70,10 +65,11 @@ func (p PolicySpec) Validate() error {
 			return fmt.Errorf("scenario: PolicySpec has parameters but no policy name")
 		}
 	case PolicyNAVInflation:
-		if p.Frames != "" {
-			if _, ok := frameSets[p.Frames]; !ok {
-				return fmt.Errorf("scenario: PolicySpec.Frames %q unknown (cts, ack, cts+ack, rts+cts, all)", p.Frames)
-			}
+		if p.NAVInflation < 0 {
+			return fmt.Errorf("scenario: PolicySpec.NAVInflation %v is negative", p.NAVInflation)
+		}
+		if _, err := greedy.ParseFrameSet(p.Frames); err != nil {
+			return fmt.Errorf("scenario: PolicySpec.Frames: %w", err)
 		}
 		if len(p.Victims) != 0 {
 			return fmt.Errorf("scenario: PolicySpec %q does not take victims", p.Name)
@@ -92,15 +88,13 @@ func (p PolicySpec) Validate() error {
 	return nil
 }
 
-// build materializes the policy against a world under construction.
-// Victims must already be added (builders add receivers first).
+// build materializes a validated policy against a world under
+// construction. Victims must already be added (builders add receivers
+// first).
 func (p PolicySpec) build(w *World) (mac.ReceiverPolicy, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	gp := p.GreedyPercent
-	if gp == 0 {
-		gp = 100
+	gp := 100.0
+	if p.GreedyPercent != nil {
+		gp = *p.GreedyPercent
 	}
 	switch p.Name {
 	case PolicyNone:
@@ -110,9 +104,9 @@ func (p PolicySpec) build(w *World) (mac.ReceiverPolicy, error) {
 		if extra == 0 {
 			extra = 10 * sim.Millisecond
 		}
-		set := greedy.CTSAndACK
-		if p.Frames != "" {
-			set = frameSets[p.Frames]
+		set, _ := greedy.ParseFrameSet(p.Frames)
+		if set == (greedy.FrameSet{}) {
+			set = greedy.CTSAndACK
 		}
 		return greedy.NewNAVInflation(w.Sched.RNG(), set, extra, gp), nil
 	case PolicyACKSpoofing:
@@ -132,16 +126,21 @@ func (p PolicySpec) build(w *World) (mac.ReceiverPolicy, error) {
 	}
 }
 
-// StationSpec declaratively customizes one builder station — the
-// JSON-serializable counterpart of a ReceiverOpts/SenderOpts closure, so
-// campaign specs can express greedy mixes, GRC deployment, queue sizing,
-// and placement as data.
+// StationSpec declaratively customizes one builder station. It is the
+// only way to configure a builder's stations, and it is JSON-serializable,
+// so campaign specs can express greedy mixes, GRC deployment, rate
+// control, queue sizing, and placement as data.
 type StationSpec struct {
 	// Policy installs a (possibly greedy) receiver policy.
 	Policy PolicySpec `json:"policy,omitempty"`
 	// GRC installs the countermeasure observer with the given config.
 	GRC *detect.Config `json:"grc,omitempty"`
-	// QueueCap overrides the world's MAC queue bound for this station.
+	// ARF runs the ARF rate controller over the world band's rate set
+	// on this station's transmissions; false keeps the band's fixed data
+	// rate.
+	ARF bool `json:"arf,omitempty"`
+	// QueueCap overrides the world's MAC queue bound for this station;
+	// zero keeps it.
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Position overrides the builder's default placement.
 	Position *phys.Position `json:"position,omitempty"`
@@ -150,43 +149,61 @@ type StationSpec struct {
 	Channel int `json:"channel,omitempty"`
 }
 
+// Validate reports whether the spec is well-formed.
+func (s StationSpec) Validate() error {
+	if s.QueueCap < 0 {
+		return fmt.Errorf("scenario: StationSpec.QueueCap %d is negative", s.QueueCap)
+	}
+	return s.Policy.Validate()
+}
+
 // opts materializes the spec into StationOpts against a world under
 // construction.
 func (s StationSpec) opts(w *World) (StationOpts, error) {
+	if err := s.Validate(); err != nil {
+		return StationOpts{}, err
+	}
 	policy, err := s.Policy.build(w)
 	if err != nil {
 		return StationOpts{}, err
 	}
-	return StationOpts{
+	opts := StationOpts{
 		Policy:   policy,
 		GRC:      s.GRC,
 		QueueCap: s.QueueCap,
 		Channel:  s.Channel,
-	}, nil
+	}
+	if s.ARF {
+		rates := mac.Rates80211B()
+		if w.cfg.Band == phys.Band80211A {
+			rates = mac.Rates80211A()
+		}
+		opts.AutoRate = mac.NewARF(rates, 0, 0)
+	}
+	return opts, nil
 }
 
-// stationFor resolves station i's options and position during a build:
-// the declarative spec slice wins (missing indices are compliant
-// stations), the legacy closure is the func-based wrapper for existing
-// call sites, and setting both is a config error.
-func stationFor(w *World, i int, def phys.Position, specs []StationSpec,
-	fn func(w *World, i int) StationOpts) (StationOpts, phys.Position, error) {
-	if len(specs) > 0 && fn != nil {
-		return StationOpts{}, def, fmt.Errorf("scenario: set station specs or the opts callback, not both")
+// checkSpecs rejects a spec slice longer than the n stations it
+// customizes, instead of silently ignoring the extra entries.
+func checkSpecs(role string, specs []StationSpec, n int) error {
+	if len(specs) > n {
+		return fmt.Errorf("scenario: %d %s specs for %d %ss", len(specs), role, n, role)
 	}
-	if i < len(specs) {
-		opts, err := specs[i].opts(w)
-		if err != nil {
-			return StationOpts{}, def, err
-		}
-		pos := def
-		if specs[i].Position != nil {
-			pos = *specs[i].Position
-		}
-		return opts, pos, nil
+	return nil
+}
+
+// stationFor resolves station i's options and position during a build;
+// indices past the spec slice are compliant stations at def.
+func stationFor(w *World, i int, def phys.Position, specs []StationSpec) (StationOpts, phys.Position, error) {
+	if i >= len(specs) {
+		return StationOpts{}, def, nil
 	}
-	if fn != nil {
-		return fn(w, i), def, nil
+	opts, err := specs[i].opts(w)
+	if err != nil {
+		return StationOpts{}, def, err
 	}
-	return StationOpts{}, def, nil
+	if specs[i].Position != nil {
+		def = *specs[i].Position
+	}
+	return opts, def, nil
 }

@@ -13,7 +13,7 @@ import (
 // the reverse-channel ACK traffic (freeing airtime).
 func TestTCPOptionsOverWireless(t *testing.T) {
 	run := func(mut func(*transport.TCPConfig)) *Flow {
-		w, err := NewWorld(Config{Seed: 37, UseRTSCTS: true, DefaultBER: 1e-5})
+		w, err := NewWorld(Config{Seed: 37, UseRTSCTS: true, Error: phys.BERSpec(1e-5)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"testing"
 
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/sim"
 	"greedy80211/internal/trace"
 )
@@ -45,16 +44,10 @@ func TestTraceInvariantsCompliantWorld(t *testing.T) {
 func TestTraceInvariantsNAVInflationWorld(t *testing.T) {
 	var greedyID int
 	coll, w := runTraced(t, PairsConfig{
-		Config:    Config{Seed: 12, UseRTSCTS: true},
-		N:         2,
-		Transport: UDP,
-		ReceiverOpts: func(w *World, i int) StationOpts {
-			if i != 0 {
-				return StationOpts{}
-			}
-			return StationOpts{Policy: greedy.NewNAVInflation(
-				w.Sched.RNG(), greedy.CTSAndACK, 10*sim.Millisecond, 100)}
-		},
+		Config:        Config{Seed: 12, UseRTSCTS: true},
+		N:             2,
+		Transport:     UDP,
+		ReceiverSpecs: []StationSpec{{Policy: PolicySpec{Name: PolicyNAVInflation}}},
 	}, 2*sim.Second)
 	if n := coll.ViolationCount(); n != 0 {
 		t.Fatalf("NAV-inflation world: %d violations:\n%v", n, coll.Violations())

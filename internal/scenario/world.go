@@ -53,37 +53,11 @@ type Config struct {
 	Propagation *phys.Propagation
 	// Error is the channel error model applied to every link: one typed
 	// spec (BER, FER, data-FER, or rate ladder) with explicit validation.
-	// The zero value is loss-free. Setting Error together with any of the
-	// deprecated per-kind fields below is rejected by NewWorld.
+	// The zero value is loss-free.
 	Error phys.ErrorSpec
-	// DefaultBER applies the Table III error model to every link.
-	//
-	// Deprecated: set Error to phys.BERSpec(ber) instead. The old fields
-	// formed a silent precedence stack (DataFER over FER over BER); they
-	// keep working for existing call sites with the old semantics.
-	DefaultBER float64
-	// DefaultFER applies a size-independent frame error rate to every
-	// link; it takes precedence over DefaultBER when positive.
-	//
-	// Deprecated: set Error to phys.FERSpec(rate) instead.
-	DefaultFER float64
-	// DefaultDataFER applies a frame error rate to data-sized frames only
-	// (control frames pass), the "data frame error rate" knob of the
-	// fake-ACK experiments. It takes precedence over DefaultFER.
-	//
-	// Deprecated: set Error to phys.DataFERSpec(rate) instead.
-	DefaultDataFER float64
 	// ForceCapture resolves every reception overlap to the strongest
 	// frame (the paper's assumption in the ACK-spoofing evaluation).
 	ForceCapture bool
-	// RateError installs a PHY-rate-dependent loss model (auto-rate
-	// extension); it takes precedence over the BER/FER knobs for frames
-	// carrying a transmission rate.
-	//
-	// Deprecated: set Error to phys.RateLadderSpec(ferByRate, minUnits)
-	// instead (or keep this field to combine a rate ladder with a default
-	// model, which the one-kind Error spec deliberately cannot express).
-	RateError phys.RateErrorModel
 	// DisableCapture turns the capture effect off entirely.
 	DisableCapture bool
 	// QueueCap bounds every MAC queue; zero keeps the default of 50.
@@ -101,12 +75,6 @@ type Config struct {
 	// regression tests assert it); the switch exists for those tests and
 	// for pooled-vs-unpooled benchmark comparisons.
 	DisablePooling bool
-	// DisableNeighborScoping makes the medium fan every transmission out
-	// with the legacy broadcast scan instead of the transmitter's
-	// neighbor list. Outputs are identical either way (the neighbor-vs-
-	// broadcast identity tests assert it); the switch exists for those
-	// tests and for scaling benchmark comparisons.
-	DisableNeighborScoping bool
 	// FlowStagger separates successive flow start times in Run; zero
 	// keeps the historical 1 ms. At paper scale (a handful of flows)
 	// 1 ms just decides who grabs the channel first, but a 1000-flow
@@ -114,47 +82,6 @@ type Config struct {
 	// starting flows, so BuildCells defaults to a much tighter stagger.
 	FlowStagger sim.Time
 }
-
-// resolveErrorModels materializes the configured channel error model,
-// rejecting a Config that sets both the typed Error spec and any of the
-// deprecated per-kind fields. The deprecated fields alone reproduce the
-// old silent precedence stack (DataFER over FER over BER, with RateError
-// riding alongside for frames that carry a PHY rate).
-func (c Config) resolveErrorModels() (phys.ErrorModel, phys.RateErrorModel, error) {
-	legacy := c.DefaultBER > 0 || c.DefaultFER > 0 || c.DefaultDataFER > 0 || c.RateError != nil
-	if !c.Error.IsZero() {
-		if legacy {
-			return nil, nil, fmt.Errorf(
-				"scenario: Config.Error conflicts with deprecated DefaultBER/DefaultFER/DefaultDataFER/RateError; set only the Error spec")
-		}
-		em, rem, err := c.Error.Models()
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario: %w", err)
-		}
-		return em, rem, nil
-	}
-	var em phys.ErrorModel
-	switch {
-	case c.DefaultDataFER > 0:
-		em = phys.SizeGatedFER{Rate: c.DefaultDataFER, MinUnits: phys.DataFERMinUnits}
-	case c.DefaultFER > 0:
-		em = phys.FixedFERModel{Rate: c.DefaultFER}
-	case c.DefaultBER > 0:
-		em = phys.UnitErrorModel{BER: c.DefaultBER}
-	}
-	return em, c.RateError, nil
-}
-
-// broadcastMediumForTest forces every subsequently built world onto the
-// legacy broadcast delivery path, so identity tests can rerun whole
-// artifact pipelines "as before the neighbor refactor" without plumbing a
-// knob through every runner.
-var broadcastMediumForTest bool
-
-// SetBroadcastMediumForTest toggles the legacy broadcast delivery path
-// for every world built until reset. Test-only; not safe to flip while
-// worlds are being built concurrently.
-func SetBroadcastMediumForTest(on bool) { broadcastMediumForTest = on }
 
 // Station is one host in the world: a wireless station, an AP, or a
 // wired-only remote host (DCF nil).
@@ -264,15 +191,14 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Propagation != nil {
 		mcfg.Propagation = *cfg.Propagation
 	}
-	em, rem, err := cfg.resolveErrorModels()
+	em, rem, err := cfg.Error.Models()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	mcfg.DefaultError = em
 	mcfg.RateError = rem
 	mcfg.ForceCapture = cfg.ForceCapture
 	mcfg.Tap = cfg.Trace
-	mcfg.DisableNeighborScoping = cfg.DisableNeighborScoping || broadcastMediumForTest
 	reg := metrics.NewRegistry()
 	mcfg.Metrics = reg
 	if cfg.DisableCapture {
