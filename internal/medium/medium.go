@@ -12,6 +12,13 @@
 // everyone is in range of everyone on one channel — the paper's hotspot —
 // has full neighbor sets, so scoped delivery is a strict generalization
 // of broadcast-to-all delivery.
+//
+// Each radio owns two scheduler lanes (sim.Lane) for its transmissions:
+// Transmit queues the begin events of one frame in arrival order in the
+// radio's begins lane, and each begin queues its end event in the ends
+// lane. The fan-out then takes two heap slots rather than two per
+// neighbor, and dispatch order is exactly that of scheduling each event
+// on its own.
 package medium
 
 import (
@@ -133,6 +140,7 @@ func DefaultConfig() Config {
 type arrival struct {
 	m              *Medium
 	o              *radio
+	tx             *radio // transmitter, whose ends lane holds the end event
 	frame          *mac.Frame
 	from           mac.NodeID
 	rssi           float64
@@ -163,6 +171,9 @@ type radio struct {
 	// (a radio was added or repositioned).
 	neighbors []neighbor
 	topoGen   uint64
+	// begins and ends queue this radio's transmissions at its neighbors:
+	// one scheduler heap slot each for the whole fan-out (see sim.Lane).
+	begins, ends sim.Lane
 }
 
 // neighbor is one interference-graph edge: the destination radio plus the
@@ -172,6 +183,9 @@ type neighbor struct {
 	inComm bool
 	rxDBm  float64
 	delay  sim.Time
+	// rank is the edge's position in arrival order: by delay, ties broken
+	// by list position.
+	rank int
 }
 
 // Medium is the shared channel. Not safe for concurrent use; it is driven
@@ -184,6 +198,9 @@ type Medium struct {
 	order    []*radio // deterministic iteration order
 	taps     []Tap    // fan-out list, seeded from cfg.Tap
 	arrivals *pool.Arena[arrival]
+	// batch holds one transmission's arrivals, indexed by neighbor rank,
+	// between drawing their RSSIs and scheduling them.
+	batch []*arrival
 	// topoGen counts topology mutations (radio added, position changed);
 	// each radio rebuilds its neighbor list lazily when its own topoGen
 	// falls behind.
@@ -367,34 +384,47 @@ func (m *Medium) Transmit(src mac.NodeID, f *mac.Frame, airtime sim.Time) {
 	if tx.topoGen != m.topoGen {
 		m.buildTopology(tx)
 	}
+	// RSSI draws follow list order, which fixes the RNG stream; the begin
+	// events then go out in arrival order so they fill the transmitter's
+	// begins lane. They take consecutive seqs, so (when, seq) dispatch
+	// order is what scheduling them in list order would give.
+	n := len(tx.neighbors)
+	if cap(m.batch) < n {
+		m.batch = make([]*arrival, n)
+	}
+	batch := m.batch[:n]
 	for i := range tx.neighbors {
 		nb := &tx.neighbors[i]
-		m.scheduleArrival(nb.o, f, src, nb.inComm, nb.rxDBm, nb.delay, now, airtime)
+		batch[nb.rank] = m.newArrival(tx, nb, f, now, airtime)
+	}
+	for _, a := range batch {
+		m.sched.AtCallLane(&tx.begins, a.start, beginArrivalEvent, a)
 	}
 }
 
-// scheduleArrival enqueues one receiver's begin/end arrival pair.
-func (m *Medium) scheduleArrival(o *radio, f *mac.Frame, from mac.NodeID,
-	inComm bool, rxDBm float64, delay sim.Time, now, airtime sim.Time) {
+// newArrival prepares one receiver's arrival of f, drawing its RSSI.
+func (m *Medium) newArrival(tx *radio, nb *neighbor, f *mac.Frame, now, airtime sim.Time) *arrival {
 	a := m.arrivals.Get()
-	a.o = o
+	a.o = nb.o
+	a.tx = tx
 	a.frame = f
-	a.from = from
-	a.rssi = m.cfg.RSSI.Sample(m.rng, rxDBm)
-	a.inComm = inComm
+	a.from = tx.id
+	a.rssi = m.cfg.RSSI.Sample(m.rng, nb.rxDBm)
+	a.inComm = nb.inComm
 	a.overlapped = false
 	a.strongestOther = math.Inf(-1)
 	a.selfTx = false
 	f.Retain() // the in-flight copy keeps the frame alive until endArrival
-	a.start = now + delay
+	a.start = now + nb.delay
 	a.end = a.start + airtime
-	m.sched.AtCall(a.start, beginArrivalEvent, a)
+	return a
 }
 
 // buildTopology rebuilds r's interference-graph edge list: co-channel
 // radios within carrier-sense range in registration order, each edge
-// carrying the directed-link propagation. The order fixes the order of
-// the RNG draws in scheduleArrival, so it is part of every output.
+// carrying the directed-link propagation and its rank in arrival order.
+// The list order fixes the order of Transmit's RNG draws, so it is part
+// of every output.
 func (m *Medium) buildTopology(r *radio) {
 	r.topoGen = m.topoGen
 	r.neighbors = r.neighbors[:0]
@@ -412,6 +442,18 @@ func (m *Medium) buildTopology(r *radio) {
 			rxDBm:  m.cfg.Propagation.RxPowerDBm(dist),
 			delay:  phys.PropagationDelay(dist),
 		})
+	}
+	// Ranking by counting is quadratic in the neighbor count, but it runs
+	// once per topology generation and needs no scratch space.
+	nbs := r.neighbors
+	for i := range nbs {
+		rank := 0
+		for j := range nbs {
+			if nbs[j].delay < nbs[i].delay || (nbs[j].delay == nbs[i].delay && j < i) {
+				rank++
+			}
+		}
+		nbs[i].rank = rank
 	}
 }
 
@@ -433,7 +475,7 @@ func (m *Medium) beginArrival(o *radio, a *arrival) {
 	if len(o.inflight) == 1 {
 		o.rcv.ChannelBusy(true)
 	}
-	m.sched.AtCall(a.end, endArrivalEvent, a)
+	m.sched.AtCallLane(&a.tx.ends, a.end, endArrivalEvent, a)
 }
 
 func (m *Medium) endArrival(o *radio, a *arrival) {
@@ -477,6 +519,7 @@ func (m *Medium) endArrival(o *radio, a *arrival) {
 	// one, and releasing first would hand the MAC a recycled frame.
 	a.frame = nil
 	a.o = nil
+	a.tx = nil
 	m.arrivals.Put(a)
 	o.rcv.RxEnd(f, info)
 	f.Release()
@@ -488,6 +531,7 @@ func (m *Medium) recycle(a *arrival) {
 	a.frame.Release()
 	a.frame = nil
 	a.o = nil
+	a.tx = nil
 	m.arrivals.Put(a)
 }
 

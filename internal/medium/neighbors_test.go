@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"greedy80211/internal/mac"
@@ -14,7 +15,7 @@ import (
 // fullScan is the brute-force neighbor oracle: every radio in
 // registration order, kept if it shares r's channel and sits within
 // carrier-sense range, r itself excluded, with the link's propagation
-// computed from scratch.
+// computed from scratch and each edge ranked by a stable sort on delay.
 func fullScan(m *Medium, r *radio) []neighbor {
 	var out []neighbor
 	for _, o := range m.order {
@@ -31,6 +32,14 @@ func fullScan(m *Medium, r *radio) []neighbor {
 			rxDBm:  m.cfg.Propagation.RxPowerDBm(dist),
 			delay:  phys.PropagationDelay(dist),
 		})
+	}
+	byDelay := make([]int, len(out))
+	for i := range byDelay {
+		byDelay[i] = i
+	}
+	sort.SliceStable(byDelay, func(i, j int) bool { return out[byDelay[i]].delay < out[byDelay[j]].delay })
+	for rank, i := range byDelay {
+		out[i].rank = rank
 	}
 	return out
 }
@@ -71,12 +80,12 @@ func (b *busyLog) RxEnd(*mac.Frame, mac.RxInfo) {}
 // TestNeighborsMatchFullScan is the oracle behind neighbor-scoped
 // delivery. On randomized clipped-range, two-channel layouts, each
 // radio's neighbor list must equal fullScan: same radios in the same
-// order, same inComm, rxDBm and delay. Transmit draws one RSSI sample per
-// list entry in list order, so a matching list fixes every RNG draw of
-// scheduleArrival: the scoped medium behaves exactly as a broadcast scan
-// of every radio would. The lists must stay exact after radios move, and
-// a transmission from each radio must raise carrier sense at exactly its
-// oracle neighbors.
+// order, same inComm, rxDBm, delay and arrival rank. Transmit draws one
+// RSSI sample per list entry in list order, so a matching list fixes
+// every RNG draw of newArrival: the scoped medium behaves exactly as a
+// broadcast scan of every radio would. The lists must stay exact after
+// radios move, and a transmission from each radio must raise carrier
+// sense at exactly its oracle neighbors.
 func TestNeighborsMatchFullScan(t *testing.T) {
 	const radios = 24
 	prop := phys.GRCPropagation() // 55 m comm / 99 m CS: heavy clipping

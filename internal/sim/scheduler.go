@@ -32,6 +32,8 @@ type Event struct {
 	seq       uint64 // tie-break: FIFO among same-time events
 	id        uint32 // slab slot, fixed at chunk allocation (see entry)
 	cancelled bool
+	lane      *Lane  // the lane the event is queued in; nil outside a lane
+	next      *Event // the lane's following event; nil at its tail
 	fn        Handler
 	argFn     ArgHandler // exactly one of fn/argFn is set
 	arg       any
@@ -40,8 +42,28 @@ type Event struct {
 // When reports the time at which the event is (or was) scheduled to fire.
 func (e *Event) When() Time { return e.when }
 
+// key is the event's heap entry.
+func (e *Event) key() entry { return entry{when: e.when, seq: e.seq, id: e.id} }
+
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancelled }
+
+// Lane is a FIFO of events, scheduled with AtCallLane, that takes one heap
+// slot between them: only the lane's head sits in the scheduler's heap,
+// and popping the head puts the lane's next event in its place. An event
+// joins a lane only when it is not earlier than the lane's tail, and every
+// new event takes a higher seq, so a lane always holds its events in
+// (when, seq) order and dispatch order is exactly that of plain AtCall.
+// What a lane saves is heap work: a medium transmission schedules one
+// begin and one end event per neighbor, nanoseconds apart, and a lane
+// turns each full-depth pop of those into a sift that stops near the
+// root.
+//
+// The zero value is an empty lane. A Lane must not be copied while it
+// holds events.
+type Lane struct {
+	tail *Event // last queued event; nil when the lane is empty
+}
 
 // entry is one heap slot. The ordering key (when, seq) is stored inline so
 // sift comparisons stay within the heap's own backing array instead of
@@ -87,7 +109,8 @@ type eventSlab [eventChunkSize]Event
 // simulation's deterministic randomness (see RNG).
 type Scheduler struct {
 	now      Time
-	heap     []entry
+	heap     []entry // heap events plus the head of every non-empty lane
+	pending  int     // queued events, lane members included
 	seq      uint64
 	executed uint64
 	seed     int64
@@ -122,8 +145,8 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending reports the number of events still queued (including cancelled
-// events not yet skipped).
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// events not yet skipped and events waiting in lanes).
+func (s *Scheduler) Pending() int { return s.pending }
 
 // Stats reports the event slab's occupancy in the same shape the object
 // pools use: chunks grown, events currently queued (live), and freelist
@@ -182,12 +205,13 @@ func (s *Scheduler) release(ev *Event) {
 	s.free = append(s.free, ev.id)
 }
 
-// At schedules fn to run at absolute time t, which must not be in the past.
-func (s *Scheduler) At(t Time, fn Handler) *Event {
+// newEvent checks out an event for time t with its handler (fn, or argFn
+// with arg) and the next seq; the caller queues it.
+func (s *Scheduler) newEvent(t Time, fn Handler, argFn ArgHandler, arg any) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	if fn == nil {
+	if fn == nil && argFn == nil {
 		panic("sim: scheduling nil handler")
 	}
 	ev := s.alloc()
@@ -195,8 +219,17 @@ func (s *Scheduler) At(t Time, fn Handler) *Event {
 	ev.seq = s.seq
 	ev.cancelled = false
 	ev.fn = fn
-	s.push(entry{when: t, seq: s.seq, id: ev.id})
+	ev.argFn = argFn
+	ev.arg = arg
 	s.seq++
+	s.pending++
+	return ev
+}
+
+// At schedules fn to run at absolute time t, which must not be in the past.
+func (s *Scheduler) At(t Time, fn Handler) *Event {
+	ev := s.newEvent(t, fn, nil, nil)
+	s.push(ev.key())
 	return ev
 }
 
@@ -204,20 +237,29 @@ func (s *Scheduler) At(t Time, fn Handler) *Event {
 // allocation-free alternative to At for hot paths: fn is typically a
 // package-level function and arg a pooled object, so neither boxes.
 func (s *Scheduler) AtCall(t Time, fn ArgHandler, arg any) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	ev := s.newEvent(t, nil, fn, arg)
+	s.push(ev.key())
+	return ev
+}
+
+// AtCallLane is AtCall with the event queued in lane l (see Lane) when t
+// is not before l's tail. An earlier t goes into the heap on its own,
+// which is always correct: a lane changes what dispatch costs, never its
+// order. Lane events are cancelled like any other.
+func (s *Scheduler) AtCallLane(l *Lane, t Time, fn ArgHandler, arg any) *Event {
+	ev := s.newEvent(t, nil, fn, arg)
+	switch tail := l.tail; {
+	case tail == nil:
+		ev.lane = l
+		l.tail = ev
+		s.push(ev.key())
+	case t >= tail.when:
+		ev.lane = l
+		tail.next = ev
+		l.tail = ev
+	default:
+		s.push(ev.key())
 	}
-	if fn == nil {
-		panic("sim: scheduling nil handler")
-	}
-	ev := s.alloc()
-	ev.when = t
-	ev.seq = s.seq
-	ev.cancelled = false
-	ev.argFn = fn
-	ev.arg = arg
-	s.push(entry{when: t, seq: s.seq, id: ev.id})
-	s.seq++
 	return ev
 }
 
@@ -261,56 +303,72 @@ func (s *Scheduler) push(e entry) {
 	s.heap = h
 }
 
-// pop removes and returns the minimum entry. The caller must ensure the
-// heap is non-empty.
-func (s *Scheduler) pop() entry {
-	h := s.heap
-	min := h[0]
-	n := len(h) - 1
-	moved := h[n]
-	h = h[:n]
-	s.heap = h
-	if n > 0 {
-		// Sift moved down from the root, shifting smaller children up
-		// into the hole instead of swapping.
-		i := 0
-		for {
-			first := heapArity*i + 1
-			if first >= n {
-				break
-			}
-			m := first
-			end := first + heapArity
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if less(h[c], h[m]) {
-					m = c
-				}
-			}
-			if !less(h[m], moved) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+// pop removes and returns the earliest queued event. When it heads a lane,
+// the lane's next event takes over its heap slot; the next event is
+// usually only nanoseconds later, so its sift stops near the root. The
+// caller must ensure the heap is non-empty.
+func (s *Scheduler) pop() *Event {
+	ev := s.eventAt(s.heap[0].id)
+	s.pending--
+	if l := ev.lane; l != nil {
+		ev.lane = nil
+		if next := ev.next; next != nil {
+			ev.next = nil
+			s.siftDown(next.key())
+			return ev
 		}
-		h[i] = moved
+		l.tail = nil
 	}
-	return min
+	n := len(s.heap) - 1
+	moved := s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.siftDown(moved)
+	}
+	return ev
+}
+
+// siftDown puts e in the root slot and sifts it down to its heap
+// position, shifting smaller children up into the hole instead of
+// swapping.
+func (s *Scheduler) siftDown(e entry) {
+	h := s.heap
+	n := len(h)
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if less(h[c], h[m]) {
+				m = c
+			}
+		}
+		if !less(h[m], e) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = e
 }
 
 // step pops and executes the next event. It reports false when the queue is
 // exhausted.
 func (s *Scheduler) step() bool {
 	for len(s.heap) > 0 {
-		e := s.pop()
-		ev := s.eventAt(e.id)
+		ev := s.pop()
 		if ev.cancelled {
 			s.release(ev)
 			continue
 		}
-		s.now = e.when
+		s.now = ev.when
 		s.executed++
 		if fn := ev.fn; fn != nil {
 			fn()
@@ -330,16 +388,18 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// RunUntil executes events with time ≤ end, leaving the clock at end (or at
-// the last event if the queue empties first). Events scheduled at exactly
-// end do fire.
+// RunUntil executes events with time ≤ end and then moves the clock to
+// end, even when the queue empties first. Events scheduled at exactly end
+// do fire. If a handler calls Halt, RunUntil returns after that event with
+// the clock left at the event's time, so events still queued before end
+// fire at their own times on the next Run or RunUntil.
 func (s *Scheduler) RunUntil(end Time) {
 	s.halted = false
 	for !s.halted {
 		// Peek: the heap root is the earliest event. Drain cancelled
 		// events so the peek sees a live one.
 		for len(s.heap) > 0 && s.eventAt(s.heap[0].id).cancelled {
-			s.release(s.eventAt(s.pop().id))
+			s.release(s.pop())
 		}
 		if len(s.heap) == 0 {
 			break
@@ -349,7 +409,7 @@ func (s *Scheduler) RunUntil(end Time) {
 		}
 		s.step()
 	}
-	if s.now < end {
+	if !s.halted && s.now < end {
 		s.now = end
 	}
 }

@@ -149,6 +149,30 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+// A Halt inside RunUntil leaves the clock at the halting event, not at
+// end: the next RunUntil fires the events still queued at their own
+// times instead of running the clock backwards.
+func TestHaltedRunUntilKeepsClock(t *testing.T) {
+	s := NewScheduler(1)
+	var fired []Time
+	s.At(10*Microsecond, func() {
+		fired = append(fired, s.Now())
+		s.Halt()
+	})
+	s.At(20*Microsecond, func() { fired = append(fired, s.Now()) })
+	s.RunUntil(100 * Microsecond)
+	if s.Now() != 10*Microsecond {
+		t.Errorf("halted RunUntil left the clock at %v, want 10µs", s.Now())
+	}
+	s.RunUntil(100 * Microsecond)
+	if want := []Time{10 * Microsecond, 20 * Microsecond}; len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+	if s.Now() != 100*Microsecond {
+		t.Errorf("clock = %v after the resumed RunUntil, want 100µs", s.Now())
+	}
+}
+
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler(1)
 	s.Schedule(10*Microsecond, func() {})
@@ -496,4 +520,48 @@ func BenchmarkSchedulerFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	s.Run()
+}
+
+// BenchmarkSchedulerLanes measures the medium's fan-out pattern at depth:
+// width transmitters each put fanout arrivals on the queue nanoseconds
+// apart, then re-arm a microsecond-spaced timer, so the heap stays as deep
+// as BenchmarkSchedulerFanout's. The lane case queues each fan-out in the
+// transmitter's lane; the heap case schedules the same events with
+// AtCall. One op is one dispatched event.
+func BenchmarkSchedulerLanes(b *testing.B) {
+	const width, fanout = 4096, 20
+	for _, useLanes := range []bool{true, false} {
+		name := "heap"
+		if useLanes {
+			name = "lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := NewScheduler(1)
+			n := 0
+			arrive := func(any) { n++ }
+			var transmit ArgHandler
+			transmit = func(x any) {
+				n++
+				if n >= b.N {
+					return
+				}
+				l := x.(*Lane)
+				for i := 1; i <= fanout; i++ {
+					if useLanes {
+						s.AtCallLane(l, s.Now()+Time(i), arrive, nil)
+					} else {
+						s.AtCall(s.Now()+Time(i), arrive, nil)
+					}
+				}
+				s.AtCall(s.Now()+Time(width)*Microsecond, transmit, l)
+			}
+			lanes := make([]Lane, width)
+			for i := range lanes {
+				s.AtCall(Time(i)*Microsecond, transmit, &lanes[i])
+			}
+			b.ResetTimer()
+			s.Run()
+		})
+	}
 }
