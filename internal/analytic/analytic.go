@@ -90,22 +90,63 @@ func backoffCDFAtMost(cw, x int) float64 {
 	}
 }
 
-// mixAtLeast reports Pr[B ≥ x] under a CW mixture.
-func mixAtLeast(d CWDist, x int) float64 {
-	var p float64
-	for _, cw := range d.sortedCWs() {
-		p += d[cw] * backoffCDFAtLeast(cw, x)
-	}
-	return p
+// mixture is a CWDist's support in ascending order with its weights in
+// parallel, so hot loops sum without sorting or map lookups.
+type mixture struct {
+	cws     []int
+	weights []float64
 }
 
-// mixAtMost reports Pr[B ≤ x] under a CW mixture.
-func mixAtMost(d CWDist, x int) float64 {
-	var p float64
-	for _, cw := range d.sortedCWs() {
-		p += d[cw] * backoffCDFAtMost(cw, x)
+func (d CWDist) mixture() mixture {
+	m := mixture{cws: d.sortedCWs(), weights: make([]float64, len(d))}
+	for j, cw := range m.cws {
+		m.weights[j] = d[cw]
 	}
-	return p
+	return m
+}
+
+// cdfTable holds x ↦ Σ_j w_j·cdf(cw_j, x) for x in [lo, lo+len(vals)),
+// a range outside which the sum is constant: at clamps x into it.
+type cdfTable struct {
+	lo   int
+	vals []float64
+}
+
+func (t cdfTable) at(x int) float64 {
+	k := x - t.lo
+	if k < 0 {
+		k = 0
+	} else if k >= len(t.vals) {
+		k = len(t.vals) - 1
+	}
+	return t.vals[k]
+}
+
+// tabulate evaluates the mixture's CDF sum on [lo, hi], each entry summed
+// in ascending-CW order so it is bit-identical across runs — the report
+// gate diffs model output byte-for-byte.
+func (m mixture) tabulate(lo, hi int, cdf func(cw, x int) float64) cdfTable {
+	t := cdfTable{lo: lo, vals: make([]float64, hi-lo+1)}
+	for k := range t.vals {
+		var p float64
+		for j, cw := range m.cws {
+			p += m.weights[j] * cdf(cw, lo+k)
+		}
+		t.vals[k] = p
+	}
+	return t
+}
+
+// atLeast tabulates Pr[B ≥ x] under the mixture: every draw is ≥ 0, and
+// none exceeds the largest CW.
+func (m mixture) atLeast() cdfTable {
+	return m.tabulate(0, m.cws[len(m.cws)-1]+1, backoffCDFAtLeast)
+}
+
+// atMost tabulates Pr[B ≤ x] under the mixture: no draw is below 0, and
+// every draw is at most the largest CW.
+func (m mixture) atMost() cdfTable {
+	return m.tabulate(-1, m.cws[len(m.cws)-1], backoffCDFAtMost)
 }
 
 // SendProbabilities evaluates Equations 1 and 2: the per-round
@@ -118,13 +159,15 @@ func SendProbabilities(gs, ns CWDist, vSlots int) (pGS, pNS float64, err error) 
 	if len(gs) == 0 || len(ns) == 0 {
 		return 0, 0, fmt.Errorf("analytic: empty CW distribution")
 	}
-	for cwGS, wGS := range gs {
+	g, n := gs.mixture(), ns.mixture()
+	atLeast, atMost := n.atLeast(), n.atMost()
+	for k, cwGS := range g.cws {
+		pI := g.weights[k] / float64(cwGS+1) // Pr[B_GS = i]
 		for i := 0; i <= cwGS; i++ {
-			pI := wGS / float64(cwGS+1) // Pr[B_GS = i]
 			// Eq 1: GS sends when B_GS ≤ B_NS + v + 1 ⇔ B_NS ≥ i − v − 1.
-			pGS += pI * mixAtLeast(ns, i-vSlots-1)
+			pGS += pI * atLeast.at(i-vSlots-1)
 			// Eq 2: NS sends when B_NS ≤ B_GS − v + 1 = i − v + 1.
-			pNS += pI * mixAtMost(ns, i-vSlots+1)
+			pNS += pI * atMost.at(i-vSlots+1)
 		}
 	}
 	return pGS, pNS, nil

@@ -206,18 +206,22 @@ func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
 	if err := fair.Normalize(); err != nil {
 		return nil, err
 	}
+	// Some fair station sends when min(B_F) ≤ B_GS − v + 1 (Eq 2 with the
+	// head start v); the complement is every fair draw ≥ B_GS − v + 2.
+	// fairWin.at(x) = 1 − Pr[B_F ≥ x]^nFair is the fair side's round-win
+	// probability at x = B_GS − v + 2, tabulated once for both races.
+	fairWin := fair.mixture().atLeast()
+	for k, p := range fairWin.vals {
+		fairWin.vals[k] = 1 - math.Pow(p, float64(nFair))
+	}
+	greedy := chains[g].Dist.mixture()
 	// Round-win probabilities against the minimum of nFair fair draws.
 	pFairWins := func(v int) float64 {
 		var pF float64
-		for _, cwG := range chains[g].Dist.sortedCWs() {
-			wG := chains[g].Dist[cwG]
+		for k, cwG := range greedy.cws {
+			pI := greedy.weights[k] / float64(cwG+1)
 			for i := 0; i <= cwG; i++ {
-				pI := wG / float64(cwG+1)
-				// Some fair station sends when min(B_F) ≤ B_GS − v + 1
-				// (Eq 2 with the head start v); the complement is every
-				// fair draw ≥ B_GS − v + 2.
-				term := 1 - math.Pow(mixAtLeast(fair, i-v+2), float64(nFair))
-				if term > 0 {
+				if term := fairWin.at(i - v + 2); term > 0 {
 					pF += pI * term
 				}
 			}

@@ -1,6 +1,9 @@
 package analytic_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -105,6 +108,57 @@ func TestPredictDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// predictionGolden is the SHA-256 over json.Marshal(Predict(id)) for
+// every PredictedArtifacts id in order. Any change to a single bit of
+// any prediction — a value, a scenario's solved operating point, an
+// iteration count — moves it, so a speed-up of the model tier must leave
+// it alone. A deliberate model change updates it with MODEL.md.
+const predictionGolden = "f6ae194de9a556acefcca2b8991fbd28ed3359388add7442d354ad46e75466d3"
+
+func TestPredictionGolden(t *testing.T) {
+	h := sha256.New()
+	for _, artifact := range analytic.PredictedArtifacts() {
+		pred, err := analytic.Predict(artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != predictionGolden {
+		t.Errorf("prediction hash %s, want %s", got, predictionGolden)
+	}
+}
+
+// BenchmarkPredict times one Predict per gated artifact, and "all" one
+// round over every artifact — what the report gate does once per run.
+func BenchmarkPredict(b *testing.B) {
+	artifacts := analytic.PredictedArtifacts()
+	for _, artifact := range artifacts {
+		b.Run(artifact, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := analytic.Predict(artifact); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, artifact := range artifacts {
+				if _, err := analytic.Predict(artifact); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 func TestPredictUnknownArtifact(t *testing.T) {
