@@ -175,7 +175,8 @@ func run(args []string) int {
 		fmt.Printf("telemetry written to %s\n", *metricsOut)
 	}
 	if coll != nil {
-		paths, err := trace.ExportDir(*traceDir, "greedysim", coll.Recordings())
+		recs := coll.Recordings()
+		paths, err := trace.ExportDir(*traceDir, "greedysim", recs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "greedysim: %v\n", err)
 			return 1
@@ -184,7 +185,7 @@ func run(args []string) int {
 		if effDur == 0 {
 			effDur = 5 * sim.Second
 		}
-		if recs := coll.Recordings(); len(recs) > 0 {
+		if len(recs) > 0 {
 			fmt.Printf("run 0 (seed %d) channel accounting:\n", recs[0].Seed)
 			fmt.Print(recs[0].Recorder.Summary(effDur))
 		}

@@ -124,15 +124,16 @@ func cmdRun(args []string) int {
 	if _, err := experiments.Run(*artifact, cfg); err != nil {
 		return fail(err)
 	}
-	paths, err := trace.ExportDir(*out, *artifact, coll.Recordings())
+	recs := coll.Recordings()
+	paths, err := trace.ExportDir(*out, *artifact, recs)
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Printf("%s: %d worlds recorded in %.1fs, %d files written to %s\n",
-		*artifact, len(coll.Recordings()), time.Since(start).Seconds(), len(paths), *out)
+		*artifact, len(recs), time.Since(start).Seconds(), len(paths), *out)
 	if n := coll.ViolationCount(); n > 0 {
 		fmt.Fprintf(os.Stderr, "trace: %d invariant violations:\n", n)
-		for _, v := range coll.Violations() {
+		for _, v := range trace.Violations(recs) {
 			fmt.Fprintln(os.Stderr, v)
 		}
 		return 1
@@ -269,15 +270,16 @@ func cmdCheck(args []string) int {
 		if _, err := experiments.Run(id, rc); err != nil {
 			return fail(err)
 		}
+		recs := coll.Recordings()
 		if n := coll.ViolationCount(); n > 0 {
 			bad += n
-			fmt.Printf("%-6s %d worlds: %d VIOLATIONS\n", id, len(coll.Recordings()), n)
-			for _, v := range coll.Violations() {
+			fmt.Printf("%-6s %d worlds: %d VIOLATIONS\n", id, len(recs), n)
+			for _, v := range trace.Violations(recs) {
 				fmt.Fprintf(os.Stderr, "  %s %s\n", id, v)
 			}
 		} else {
 			fmt.Printf("%-6s %d worlds: clean (%.1fs)\n",
-				id, len(coll.Recordings()), time.Since(start).Seconds())
+				id, len(recs), time.Since(start).Seconds())
 		}
 	}
 	if bad > 0 {

@@ -506,13 +506,14 @@ func (s *Server) renderTrace(key, format string) ([]byte, error) {
 		return nil, fmt.Errorf("campaignd: tracing %s: %w", meta.Artifact, err)
 	}
 	var buf bytes.Buffer
-	if len(coll.Recordings()) == 0 && format != "jsonl" {
+	recs := coll.Recordings()
+	if len(recs) == 0 && format != "jsonl" {
 		// Analytic artifacts run no simulated worlds; say so instead of
 		// serving a confusing empty render. (JSONL stays empty — zero
 		// lines is the honest encoding there.)
 		fmt.Fprintf(&buf, "%s: no trace recordings (analytic artifact, no simulated worlds)\n", meta.Artifact)
 	}
-	for i, rec := range coll.Recordings() {
+	for i, rec := range recs {
 		rmeta := rec.Meta(meta.Artifact)
 		events := rec.Recorder.Events()
 		switch format {

@@ -49,16 +49,17 @@ func CaptureTraces(cfg Config, artifacts []string, dir string, capacity int) ([]
 		if _, err := experiments.Run(id, rc); err != nil {
 			return written, fmt.Errorf("report: tracing %s: %w", id, err)
 		}
-		paths, err := trace.ExportDir(dir, id, coll.Recordings())
+		recs := coll.Recordings()
+		paths, err := trace.ExportDir(dir, id, recs)
 		written = append(written, paths...)
 		if err != nil {
 			return written, err
 		}
 		inv := filepath.Join(dir, id+"_invariants.txt")
 		var body strings.Builder
-		if vs := coll.Violations(); len(vs) == 0 {
+		if vs := trace.Violations(recs); len(vs) == 0 {
 			fmt.Fprintf(&body, "%s: %d worlds traced, no invariant violations\n",
-				id, len(coll.Recordings()))
+				id, len(recs))
 		} else {
 			for _, v := range vs {
 				fmt.Fprintln(&body, v)

@@ -32,7 +32,7 @@ func TestTraceInvariantsCompliantWorld(t *testing.T) {
 		Transport: UDP,
 	}, 2*sim.Second)
 	if n := coll.ViolationCount(); n != 0 {
-		t.Fatalf("compliant world: %d violations:\n%v", n, coll.Violations())
+		t.Fatalf("compliant world: %d violations:\n%v", n, trace.Violations(coll.Recordings()))
 	}
 }
 
@@ -50,7 +50,7 @@ func TestTraceInvariantsNAVInflationWorld(t *testing.T) {
 		ReceiverSpecs: []StationSpec{{Policy: PolicySpec{Name: PolicyNAVInflation}}},
 	}, 2*sim.Second)
 	if n := coll.ViolationCount(); n != 0 {
-		t.Fatalf("NAV-inflation world: %d violations:\n%v", n, coll.Violations())
+		t.Fatalf("NAV-inflation world: %d violations:\n%v", n, trace.Violations(coll.Recordings()))
 	}
 	gr, ok := w.Station(ReceiverName(0))
 	if !ok {

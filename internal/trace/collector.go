@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -73,11 +74,12 @@ func (c *Collector) Recordings() []*Recording {
 	return out
 }
 
-// Violations aggregates checker findings across all recordings in
-// canonical order, labelling each with its seed.
-func (c *Collector) Violations() []string {
+// Violations aggregates checker findings across recordings (as returned
+// by Collector.Recordings, in canonical order), labelling each with its
+// seed.
+func Violations(recs []*Recording) []string {
 	var out []string
-	for _, r := range c.Recordings() {
+	for _, r := range recs {
 		if r.Checker == nil {
 			continue
 		}
@@ -102,23 +104,20 @@ func (c *Collector) ViolationCount() int {
 }
 
 // compareStreams orders two recorders by their retained event streams.
+// Equal events are skipped without rendering them: == and the rendered
+// compare in compareEvents agree on every event the simulator records
+// (they could differ only on a signed-zero RSSIDBm).
 func compareStreams(a, b *Recorder) int {
-	n := a.retained()
-	if m := b.retained(); m < n {
-		n = m
-	}
-	for i := 0; i < n; i++ {
-		if c := compareEvents(a.eventAt(i), b.eventAt(i)); c != 0 {
+	ea, eb := a.mergedEvents(), b.mergedEvents()
+	for i := range min(len(ea), len(eb)) {
+		if ea[i] == eb[i] {
+			continue
+		}
+		if c := compareEvents(ea[i], eb[i]); c != 0 {
 			return c
 		}
 	}
-	switch {
-	case a.retained() < b.retained():
-		return -1
-	case a.retained() > b.retained():
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(ea), len(eb))
 }
 
 func compareEvents(a, b Event) int {

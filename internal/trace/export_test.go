@@ -169,21 +169,44 @@ func TestRenderTimeline(t *testing.T) {
 
 // TestCollectorCanonicalOrder: recordings come back sorted by seed no
 // matter the Start order, so exports are deterministic under parallel
-// scheduling.
+// scheduling. Recordings that share a seed order by their retained
+// streams: events that tie on (time, kind, station) compare by rendered
+// line, and identical streams keep their Start order. The RSSI pair
+// shows the line compare is textual: "rssi=-50.0dBm" sorts before
+// "rssi=-60.0dBm", the reverse of numeric order.
 func TestCollectorCanonicalOrder(t *testing.T) {
-	c := NewCollector(16)
-	for _, seed := range []int64{3, 1, 2} {
+	c := NewCollector(4) // the seed-2 streams below wrap their rings
+	for _, seed := range []int64{3, 1} {
 		rec := c.Start(seed)
 		rec.OnTransmit(1, &mac.Frame{Type: mac.FrameData, Src: 1, Dst: 2, MACBytes: 100},
 			sim.Time(seed)*us, us)
 	}
-	recs := c.Recordings()
-	if len(recs) != 3 {
-		t.Fatalf("recordings = %d", len(recs))
+	names := make(map[*Recorder]string)
+	for _, r := range []struct {
+		name string
+		rssi float64
+	}{{"first", -50}, {"other", -60}, {"twin", -50}} {
+		rec := c.Start(2)
+		names[rec] = r.name
+		for i := 0; i < 6; i++ {
+			f := &mac.Frame{Type: mac.FrameData, Src: 1, Dst: 2, Seq: uint16(i), MACBytes: 100}
+			at := sim.Time(i) * 10 * us
+			rec.OnTransmit(1, f, at, us)
+			rec.OnReceive(2, f, mac.RxInfo{Decoded: true, RSSIDBm: r.rssi}, at+us)
+		}
 	}
-	for i, want := range []int64{1, 2, 3} {
-		if recs[i].Seed != want {
-			t.Errorf("recording %d seed = %d, want %d", i, recs[i].Seed, want)
+	recs := c.Recordings()
+	want := []struct {
+		seed int64
+		name string
+	}{{1, ""}, {2, "first"}, {2, "twin"}, {2, "other"}, {3, ""}}
+	if len(recs) != len(want) {
+		t.Fatalf("recordings = %d, want %d", len(recs), len(want))
+	}
+	for i, w := range want {
+		if recs[i].Seed != w.seed || names[recs[i].Recorder] != w.name {
+			t.Errorf("recording %d = seed %d %q, want seed %d %q",
+				i, recs[i].Seed, names[recs[i].Recorder], w.seed, w.name)
 		}
 	}
 }
@@ -201,7 +224,7 @@ func TestCollectorChecksWired(t *testing.T) {
 	if c.ViolationCount() != 1 {
 		t.Fatalf("violations = %d, want 1", c.ViolationCount())
 	}
-	if v := c.Violations()[0]; !strings.HasPrefix(v, "seed=7 ") || !strings.Contains(v, InvNAV) {
+	if v := Violations(c.Recordings())[0]; !strings.HasPrefix(v, "seed=7 ") || !strings.Contains(v, InvNAV) {
 		t.Errorf("violation = %q, want seed prefix and invariant name", v)
 	}
 }

@@ -237,8 +237,9 @@ func retryMark(retry bool) string {
 // events after it overall, hence fewer than cap after it in its own
 // shard, so a per-shard capacity of cap is guaranteed to still hold it.)
 // Keeping each station's stream in its own ring makes the hot record
-// path a plain append into a small per-station buffer and pushes all
-// ordering work to export time.
+// path a plain append into a small per-station buffer; export time pays
+// one linear pass that puts each retained event at its sequence stamp's
+// place.
 type Recorder struct {
 	cap    int
 	shards []traceShard // indexed by station id (negatives fold into 0)
@@ -573,8 +574,10 @@ func (r *Recorder) Stats() Stats {
 // mergedEvents materializes (and caches) the canonical retained view:
 // the newest cap events across every shard, in record order. Sequence
 // stamps are dense, so "newest cap" is exactly the events with
-// seq > total-cap, and the per-shard capacity argument in the Recorder
-// doc guarantees every one of them is still in its shard's ring.
+// seq > total-cap, and each one has a known place: out[seq-lo-1]. One
+// newest-first walk per shard ring places its retained events and stops
+// at the first older one, so the merge is linear and reads only retained
+// slots.
 func (r *Recorder) mergedEvents() []Event {
 	if r.mergedAt == r.total {
 		return r.merged
@@ -583,23 +586,31 @@ func (r *Recorder) mergedEvents() []Event {
 	if r.total > uint64(r.cap) {
 		lo = r.total - uint64(r.cap)
 	}
-	type seqRef struct {
-		seq        uint64
-		shard, pos int
-	}
-	refs := make([]seqRef, 0, r.total-lo)
+	out := make([]Event, r.total-lo)
+	placed := 0
 	for si := range r.shards {
-		ring := r.shards[si].ring
-		for pi := range ring {
-			if ring[pi].seq > lo {
-				refs = append(refs, seqRef{seq: ring[pi].seq, shard: si, pos: pi})
+		s := &r.shards[si]
+		i := s.next - 1 // newest slot; len-1 when the ring has not wrapped
+		if i < 0 {
+			i = len(s.ring) - 1
+		}
+		for range s.ring {
+			se := &s.ring[i]
+			if se.seq <= lo {
+				break
+			}
+			out[se.seq-lo-1] = se.ev
+			placed++
+			if i--; i < 0 {
+				i = len(s.ring) - 1
 			}
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
-	out := make([]Event, len(refs))
-	for i, ref := range refs {
-		out[i] = r.shards[ref.shard].ring[ref.pos].ev
+	if placed != len(out) {
+		// The per-shard capacity argument in the Recorder doc failed: an
+		// event inside the window was evicted, and its slot would export
+		// as a silent zero event.
+		panic(fmt.Sprintf("trace: merged %d of %d retained events", placed, len(out)))
 	}
 	r.merged = out
 	r.mergedAt = r.total
@@ -610,13 +621,6 @@ func (r *Recorder) mergedEvents() []Event {
 func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.mergedEvents()...)
 }
-
-// eventAt indexes the retained events oldest-first without copying.
-func (r *Recorder) eventAt(i int) Event { return r.mergedEvents()[i] }
-
-// retained reports how many events the rings currently hold within the
-// canonical window.
-func (r *Recorder) retained() int { return len(r.mergedEvents()) }
 
 // Utilization reports transmit airtime as a fraction of elapsed time
 // (overlapping transmissions double-count, so values may exceed 1 under

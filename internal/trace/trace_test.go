@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -155,35 +157,137 @@ func TestShardWrapClearsStaleFields(t *testing.T) {
 // TestShardedRetentionMatchesGlobalWindow checks the canonical-merge
 // property the per-station shards are built on: the merged export equals
 // exactly the newest-cap window of the global record stream, as a single
-// shared ring would have retained it — including stations recording at
-// very different rates and a negative station id folded into shard 0.
+// shared ring would have retained it. A seeded table drives random
+// station sequences (stations recording at very different rates,
+// negative ids folded into shard 0) through every recording site, with
+// totals below, at and far past the capacity.
 func TestShardedRetentionMatchesGlobalWindow(t *testing.T) {
-	const ringCap = 8
-	sharded := NewRecorder(ringCap)
-	reference := NewRecorder(1 << 16) // never wraps: retains everything
-	stations := []mac.NodeID{0, 1, 1, 2, -5, 3, 1, 2}
-	n := 0
-	for round := 0; round < 7; round++ {
-		for _, sta := range stations {
-			n++
-			f := &mac.Frame{Type: mac.FrameData, Src: sta, Dst: 2, Seq: uint16(n)}
-			for _, r := range []*Recorder{sharded, reference} {
-				r.OnTransmit(sta, f, sim.Time(n)*sim.Microsecond, sim.Microsecond)
+	rng := rand.New(rand.NewSource(1))
+	for _, ringCap := range []int{1, 2, 7, 64} {
+		for _, total := range []int{ringCap - 1, ringCap, ringCap + 1, 3*ringCap + 5, 40*ringCap + 3} {
+			// Few stations make long same-shard runs; many make each
+			// shard hold only a sliver of the window.
+			for _, nSta := range []int{1, 3, 20} {
+				name := fmt.Sprintf("cap%d/total%d/stations%d", ringCap, total, nSta)
+				t.Run(name, func(t *testing.T) {
+					checkRetention(t, rng, ringCap, total, nSta)
+				})
 			}
 		}
 	}
-	all := reference.Events()
-	want := all[len(all)-ringCap:]
+}
+
+func checkRetention(t *testing.T, rng *rand.Rand, ringCap, total, nSta int) {
+	sharded := NewRecorder(ringCap)
+	reference := NewRecorder(total + 1) // never wraps: retains everything
+	for n := 1; n <= total; n++ {
+		sta := mac.NodeID(rng.Intn(nSta+2) - 2) // ids -2..nSta-1
+		at := sim.Time(n) * sim.Microsecond
+		f := &mac.Frame{Type: mac.FrameData, Src: sta, Dst: 2, Seq: uint16(n)}
+		for _, r := range []*Recorder{sharded, reference} {
+			switch n % 3 {
+			case 0:
+				r.OnTransmit(sta, f, at, sim.Microsecond)
+			case 1:
+				r.OnReceive(sta, f, mac.RxInfo{Decoded: true, RSSIDBm: -float64(n)}, at)
+			default:
+				r.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeBackoffDraw, At: at, Station: sta,
+					CW: 31, Slots: n})
+			}
+		}
+	}
+	want := reference.Events()
+	if len(want) > ringCap {
+		want = want[len(want)-ringCap:]
+	}
 	got := sharded.Events()
 	if len(got) != len(want) {
 		t.Fatalf("retained %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if d := sharded.Dropped(); d != uint64(n-ringCap) {
-		t.Errorf("Dropped() = %d, want %d", d, n-ringCap)
+	wantDropped := uint64(0)
+	if total > ringCap {
+		wantDropped = uint64(total - ringCap)
 	}
+	if d := sharded.Dropped(); d != wantDropped {
+		t.Errorf("Dropped() = %d, want %d", d, wantDropped)
+	}
+}
+
+// BenchmarkCollectorRecordings measures the canonical read-out: merging
+// each recorder's shard rings into record order and sorting recordings
+// that share a seed by content. Each seed has four 20-station streams
+// that wrap their rings three times over; two are identical (a full-depth
+// tie) and two share a prefix with them and diverge inside the retained
+// window.
+func BenchmarkCollectorRecordings(b *testing.B) {
+	const (
+		ringCap  = 4096
+		stations = 20
+		total    = 3 * ringCap
+	)
+	c := NewCollector(ringCap)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, divergeAt := range []int{total, total, total - ringCap/2, total - ringCap/10} {
+			recordStream(c.Start(seed), seed, divergeAt, total, stations)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Drop the cached merges so every iteration pays the read-out a
+		// fresh collector pays.
+		for _, r := range c.recs {
+			r.Recorder.mergedAt = ^uint64(0)
+		}
+		if len(c.Recordings()) != 16 {
+			b.Fatal("lost a recording")
+		}
+	}
+}
+
+// recordStream feeds rec total events across the given number of
+// stations, drawn from a generator seeded by seed and reseeded at event
+// divergeAt.
+func recordStream(rec *Recorder, seed int64, divergeAt, total, stations int) {
+	rng := rand.New(rand.NewSource(seed))
+	var at sim.Time
+	for n := 0; n < total; n++ {
+		if n == divergeAt {
+			rng = rand.New(rand.NewSource(seed + 1000))
+		}
+		at += sim.Time(rng.Intn(3)) * sim.Microsecond
+		sta := mac.NodeID(rng.Intn(stations))
+		f := &mac.Frame{Type: mac.FrameData, Src: sta, Dst: 0, Seq: uint16(n), MACBytes: 1052}
+		switch rng.Intn(3) {
+		case 0:
+			rec.OnTransmit(sta, f, at, 958*sim.Microsecond)
+		case 1:
+			rec.OnReceive(sta, f, mac.RxInfo{Decoded: true, RSSIDBm: -40 - 50*rng.Float64()}, at)
+		default:
+			rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeBackoffDraw, At: at, Station: sta,
+				CW: 31, Slots: rng.Intn(32)})
+		}
+	}
+}
+
+// TestMergePanicsOnLostEvent: if a shard ever lost an event inside the
+// retained window, the merge must fail loudly instead of exporting a
+// zero event in its place.
+func TestMergePanicsOnLostEvent(t *testing.T) {
+	r := NewRecorder(4)
+	for i := 0; i < 6; i++ {
+		r.OnTransmit(mac.NodeID(i%2), txFrame(uint16(i)), sim.Time(i)*sim.Millisecond, sim.Microsecond)
+	}
+	r.shards[1].ring[1].seq = 0 // station 1 holds seqs 2, 4, 6: lose seq 4
+	defer func() {
+		if recover() == nil {
+			t.Error("merge with a lost event did not panic")
+		}
+	}()
+	r.Events()
 }
