@@ -105,7 +105,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // TestSimulatorAllocBudget is the allocation-budget gate on the hot
 // path: one op of the throughput workload (world construction plus one
 // simulated second, ~18k scheduler events and ~1.9k frame exchanges)
-// must stay within budget. The pooled simulator sits around 250
+// must stay within budget. The pooled simulator sits around 245
 // allocs/op — almost all world construction — against a pre-pooling
 // baseline of ~20k; the budget of 2,000 leaves headroom for legitimate
 // construction growth while still catching any per-event or

@@ -5,7 +5,7 @@
 //
 // The snapshot records five groups:
 //
-//   - scheduler: micro-benchmarks of the event queue (churn, cancel-heavy,
+//   - scheduler: micro-benchmarks of the event queue (churn, timer-restart,
 //     wide-fanout), with ns/op and allocs/op;
 //   - simulator: end-to-end event throughput of a saturated two-pair
 //     802.11b hotspot (events/sec, allocs/op), measured three ways —
@@ -285,19 +285,20 @@ func schedulerBenchmarks() []microBench {
 			s.Schedule(0, tick)
 			s.Run()
 		}},
-		{"SchedulerCancelHeavy", func(b *testing.B) {
+		{"SchedulerTimerRestart", func(b *testing.B) {
 			b.ReportAllocs()
 			s := sim.NewScheduler(1)
+			timeout := sim.NewTimer(s, func() {})
 			n := 0
 			var tick func()
 			tick = func() {
 				n++
 				if n >= b.N {
+					timeout.Stop()
 					return
 				}
-				doomed := s.Schedule(50*sim.Microsecond, func() {})
+				timeout.Start(50 * sim.Microsecond)
 				s.Schedule(sim.Microsecond, tick)
-				s.Cancel(doomed)
 			}
 			b.ResetTimer()
 			s.Schedule(0, tick)

@@ -1,7 +1,7 @@
 // Package pool provides the chunked freelist arena behind every hot-path
 // object pool in the simulator (MAC frames, transport packets, medium
 // arrivals, wireline transfers). It generalizes the recycled-slab
-// technique the event scheduler uses for sim.Event: objects live in
+// technique the event scheduler uses for its events: objects live in
 // fixed-size chunks so their addresses stay stable, a freelist recycles
 // released objects, and steady-state Get/Put never allocates.
 //

@@ -77,6 +77,13 @@ func (r *PoolReport) Worlds() int {
 	return r.worlds
 }
 
+// Sum reports each pool's stats summed over the worlds folded in.
+func (r *PoolReport) Sum() PoolStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sum
+}
+
 // String renders a one-line-per-pool summary.
 func (r *PoolReport) String() string {
 	r.mu.Lock()

@@ -2,73 +2,217 @@ package sim
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// laneOp is one scheduling step of a lane property script.
-type laneOp struct {
-	Lane   uint8 // lane index mod 4; 3 means a plain AtCall
-	Delay  uint8 // offset from now in ns, mod 16 so times tie often
-	Cancel uint8 // when a multiple of 3, cancel an earlier live event
+// scriptOp is one step of a scheduling property script.
+type scriptOp struct {
+	Kind  uint8 // mod 7: 0-2 lane append, 3 AtCall, 4 Start, 5 StartAt, 6 Stop
+	Delay uint8 // offset from now in ns, mod 16 so times tie often
+	Timer uint8 // shared timer index, mod scriptTimers
 }
 
-// laneFiring is what the script observes when an event fires.
-type laneFiring struct {
-	op      int
-	at      Time
-	pending int
+// scriptTimers is how many shared timers a script drives: enough for a
+// second level in the 4-ary timer heap.
+const scriptTimers = 7
+
+// scriptFiring is what a script observes when an event or timer fires.
+type scriptFiring struct {
+	label     int // the op index of an event; -1-k for shared timer k
+	at        Time
+	pending   int
+	deadlines [scriptTimers]Time
 }
 
-// runLaneScript plays ops against a fresh scheduler: four ops go out at
-// time zero and every firing schedules the next two, so lanes drain,
-// refill and fall back to the heap while events are in flight. With
-// useLanes false every op is a plain AtCall: the reference run.
-func runLaneScript(ops []laneOp, useLanes bool) []laneFiring {
-	s := NewScheduler(1)
-	var lanes [3]Lane
-	events := make([]*Event, len(ops))
-	done := make([]bool, len(ops)) // fired or cancelled: the *Event may be recycled
-	var log []laneFiring
-	next := 0
-	var fire ArgHandler
-	issue := func(k int) {
-		for ; k > 0 && next < len(ops); k-- {
-			i, op := next, ops[next]
-			next++
-			t := s.Now() + Time(op.Delay%16)
-			if l := op.Lane % 4; useLanes && l < 3 {
-				events[i] = s.AtCallLane(&lanes[l], t, fire, i)
-			} else {
-				events[i] = s.AtCall(t, fire, i)
-			}
-			if op.Cancel%3 == 0 {
-				j := int(op.Cancel/3) % (i + 1)
-				if !done[j] {
-					s.Cancel(events[j])
-					done[j] = true
-				}
-			}
+// scriptTarget is what a script drives: the Scheduler, or the reference
+// queue that checks it.
+type scriptTarget interface {
+	now() Time
+	post(lane int, t Time, label int) // lane 3: a plain AtCall
+	start(k int, delay Time, absolute bool)
+	stop(k int)
+	pending() int
+	deadline(k int) Time
+	run()
+}
+
+// script plays ops against a target: four ops go out at time zero and
+// every firing issues the next two, so lanes drain, refill and fall back
+// to the heap and timers re-arm, stop and fire while events are in
+// flight. Shared timer 0 also re-arms itself from its own handler while
+// ops remain.
+type script struct {
+	ops    []scriptOp
+	next   int
+	target scriptTarget
+	log    []scriptFiring
+}
+
+func (r *script) issue(k int) {
+	for ; k > 0 && r.next < len(r.ops); k-- {
+		i, op := r.next, r.ops[r.next]
+		r.next++
+		d := Time(op.Delay % 16)
+		switch kind, tm := op.Kind%7, int(op.Timer%scriptTimers); kind {
+		case 0, 1, 2, 3:
+			r.target.post(int(kind), r.target.now()+d, i)
+		case 4, 5:
+			r.target.start(tm, d, kind == 5)
+		case 6:
+			r.target.stop(tm)
 		}
 	}
-	fire = func(x any) {
-		i := x.(int)
-		done[i] = true
-		log = append(log, laneFiring{op: i, at: s.Now(), pending: s.Pending()})
-		issue(2)
-	}
-	issue(4)
-	s.Run()
-	return log
 }
 
-// Lanes change what dispatch costs, never its order: any mix of lane
-// appends, plain events and cancels fires exactly as the same script
-// with plain AtCalls only, at the same times and with the same Pending
-// count (lane members included) at every firing.
+func (r *script) fired(label int) {
+	f := scriptFiring{label: label, at: r.target.now(), pending: r.target.pending()}
+	for k := range f.deadlines {
+		f.deadlines[k] = r.target.deadline(k)
+	}
+	r.log = append(r.log, f)
+	if label == -1 && r.next < len(r.ops) {
+		r.target.start(0, Time(len(r.log)%5), false)
+	}
+	r.issue(2)
+}
+
+func runScript(ops []scriptOp, target func(*script) scriptTarget) []scriptFiring {
+	r := &script{ops: ops}
+	r.target = target(r)
+	r.issue(4)
+	r.target.run()
+	return r.log
+}
+
+// schedTarget drives the Scheduler, lanes and timers included. It runs
+// in RunUntil slices so dispatch also goes through the peek of both heaps.
+type schedTarget struct {
+	s      *Scheduler
+	lanes  [3]Lane
+	timers [scriptTimers]*Timer
+	fire   ArgHandler
+}
+
+func newSchedTarget(r *script) scriptTarget {
+	st := &schedTarget{s: NewScheduler(1)}
+	st.fire = func(x any) { r.fired(x.(int)) }
+	for k := range st.timers {
+		label := -1 - k
+		st.timers[k] = NewTimer(st.s, func() { r.fired(label) })
+	}
+	return st
+}
+
+func (st *schedTarget) now() Time { return st.s.Now() }
+func (st *schedTarget) post(lane int, t Time, label int) {
+	if lane < 3 {
+		st.s.AtCallLane(&st.lanes[lane], t, st.fire, label)
+	} else {
+		st.s.AtCall(t, st.fire, label)
+	}
+}
+func (st *schedTarget) start(k int, delay Time, absolute bool) {
+	if absolute {
+		st.timers[k].StartAt(st.s.Now() + delay)
+	} else {
+		st.timers[k].Start(delay)
+	}
+}
+func (st *schedTarget) stop(k int)          { st.timers[k].Stop() }
+func (st *schedTarget) pending() int        { return st.s.Pending() }
+func (st *schedTarget) deadline(k int) Time { return st.timers[k].Deadline() }
+func (st *schedTarget) run() {
+	for st.s.nextAt() != Never {
+		st.s.RunUntil(st.s.Now() + 7)
+	}
+}
+
+// refItem is one entry of the reference queue.
+type refItem struct {
+	when  Time
+	seq   uint64
+	label int
+	dead  bool // cancelled: skipped when it reaches the front
+}
+
+// refTarget is the reference the Scheduler is checked against: one list
+// kept sorted by (when, seq), timers as plain entries, and cancellation
+// by flag. Every post and arm takes the next seq.
+type refTarget struct {
+	r      *script
+	clock  Time
+	seq    uint64
+	queue  []*refItem
+	timers [scriptTimers]*refItem // each timer's live entry; nil when disarmed
+}
+
+func newRefTarget(r *script) scriptTarget { return &refTarget{r: r} }
+
+func (rt *refTarget) insert(when Time, label int) *refItem {
+	it := &refItem{when: when, seq: rt.seq, label: label}
+	rt.seq++
+	i := sort.Search(len(rt.queue), func(i int) bool {
+		q := rt.queue[i]
+		return q.when > when || q.when == when && q.seq > it.seq
+	})
+	rt.queue = append(rt.queue, nil)
+	copy(rt.queue[i+1:], rt.queue[i:])
+	rt.queue[i] = it
+	return it
+}
+
+func (rt *refTarget) now() Time                     { return rt.clock }
+func (rt *refTarget) post(_ int, t Time, label int) { rt.insert(t, label) }
+func (rt *refTarget) start(k int, delay Time, _ bool) {
+	rt.stop(k)
+	rt.timers[k] = rt.insert(rt.clock+delay, -1-k)
+}
+func (rt *refTarget) stop(k int) {
+	if it := rt.timers[k]; it != nil {
+		it.dead = true
+		rt.timers[k] = nil
+	}
+}
+func (rt *refTarget) pending() int {
+	n := 0
+	for _, it := range rt.queue {
+		if !it.dead {
+			n++
+		}
+	}
+	return n
+}
+func (rt *refTarget) deadline(k int) Time {
+	if it := rt.timers[k]; it != nil {
+		return it.when
+	}
+	return Never
+}
+func (rt *refTarget) run() {
+	for len(rt.queue) > 0 {
+		it := rt.queue[0]
+		rt.queue = rt.queue[1:]
+		if it.dead {
+			continue
+		}
+		rt.clock = it.when
+		if it.label < 0 {
+			rt.timers[-1-it.label] = nil
+		}
+		rt.r.fired(it.label)
+	}
+}
+
+// Lanes and keyed timers change what dispatch costs, never its order:
+// any mix of lane appends, plain events, timer arms, re-arms and stops
+// fires exactly as the reference queue does, at the same times, with the
+// same Pending count (lane members and armed timers included) and the
+// same timer deadlines at every firing.
 func TestPropertyLanesMatchHeapOrder(t *testing.T) {
-	f := func(ops []laneOp) bool {
-		return reflect.DeepEqual(runLaneScript(ops, true), runLaneScript(ops, false))
+	f := func(ops []scriptOp) bool {
+		return reflect.DeepEqual(runScript(ops, newSchedTarget), runScript(ops, newRefTarget))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -83,12 +227,9 @@ func TestLaneNonMonotoneFallsBackToHeap(t *testing.T) {
 	var order []int
 	rec := func(x any) { order = append(order, x.(int)) }
 	s.AtCallLane(&l, 10, rec, 1)
-	early := s.AtCallLane(&l, 5, rec, 2)
+	s.AtCallLane(&l, 5, rec, 2)
 	s.AtCallLane(&l, 10, rec, 3)
 	s.AtCallLane(&l, 12, rec, 4)
-	if early.lane != nil {
-		t.Error("an append before the lane's tail joined the lane")
-	}
 	if len(s.heap) != 2 {
 		t.Errorf("heap holds %d entries, want the lane head plus the fallback", len(s.heap))
 	}

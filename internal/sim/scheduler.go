@@ -17,36 +17,23 @@ type Handler func()
 // would allocate per event or per captured object.
 type ArgHandler func(arg any)
 
-// Event is a scheduled callback. The zero value is not useful; events are
-// created via Scheduler.Schedule or Scheduler.At. An Event may be cancelled
-// before it fires; cancellation is O(1) (the event is skipped when popped).
-//
-// Events are recycled: once an event has fired (or been cancelled and
-// drained from the queue) its storage returns to the scheduler's freelist
-// and a later Schedule/At call may hand the same *Event out again. Holding
-// a reference past that point and calling Cancel on it would cancel the
-// event's next incarnation, so drop references when an event fires — the
-// pattern Timer follows by clearing its pointer before running the handler.
-type Event struct {
-	when      Time
-	seq       uint64 // tie-break: FIFO among same-time events
-	id        uint32 // slab slot, fixed at chunk allocation (see entry)
-	cancelled bool
-	lane      *Lane  // the lane the event is queued in; nil outside a lane
-	next      *Event // the lane's following event; nil at its tail
-	fn        Handler
-	argFn     ArgHandler // exactly one of fn/argFn is set
-	arg       any
+// event is a scheduled callback, created by At, AtCall, AtCallLane or
+// Schedule. Events are fire-and-forget: nothing outside the scheduler
+// holds one, and once an event fires its storage returns to the
+// scheduler's freelist. What must be cancelled or re-armed is a Timer.
+type event struct {
+	when  Time
+	seq   uint64 // tie-break: FIFO among same-time events
+	id    uint32 // slab slot, fixed at chunk allocation (see entry)
+	lane  *Lane  // the lane the event is queued in; nil outside a lane
+	next  *event // the lane's following event; nil at its tail
+	fn    Handler
+	argFn ArgHandler // exactly one of fn/argFn is set
+	arg   any
 }
 
-// When reports the time at which the event is (or was) scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
 // key is the event's heap entry.
-func (e *Event) key() entry { return entry{when: e.when, seq: e.seq, id: e.id} }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
+func (e *event) key() entry { return entry{when: e.when, seq: e.seq, id: e.id} }
 
 // Lane is a FIFO of events, scheduled with AtCallLane, that takes one heap
 // slot between them: only the lane's head sits in the scheduler's heap,
@@ -62,15 +49,16 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 // The zero value is an empty lane. A Lane must not be copied while it
 // holds events.
 type Lane struct {
-	tail *Event // last queued event; nil when the lane is empty
+	tail *event // last queued event; nil when the lane is empty
 }
 
-// entry is one heap slot. The ordering key (when, seq) is stored inline so
-// sift comparisons stay within the heap's own backing array instead of
-// chasing the event, and the event itself is referenced by its slab id
-// rather than a pointer: a pointer-free entry type means sift swaps issue
-// no GC write barriers and the GC never scans the heap slice. Both showed
-// up in profiles (pop was ~30% flat, with barrier flushes behind it).
+// entry is one slot of the event heap or the timer heap. The ordering
+// key (when, seq) is stored inline so sift comparisons stay within the
+// heap's own backing array instead of chasing the event, and the event
+// (or timer) itself is referenced by its id rather than a pointer: a
+// pointer-free entry type means sift swaps issue no GC write barriers and
+// the GC never scans the heap slice. Both showed up in profiles (pop was
+// ~30% flat, with barrier flushes behind it).
 type entry struct {
 	when Time
 	seq  uint64
@@ -87,7 +75,7 @@ func less(a, b entry) bool {
 // four-child scan stays within one or two lines of the entry slice.
 const heapArity = 4
 
-// eventChunkSize is how many Events each slab allocation holds. Event
+// eventChunkSize is how many events each slab allocation holds. Event
 // pointers must stay stable, so events are allocated in fixed-size chunks
 // rather than one growable slice. The size must stay a power of two: an
 // event's id decomposes as (slab index << shift) | slot.
@@ -100,34 +88,40 @@ const (
 )
 
 // eventSlab is one fixed-size block of event storage.
-type eventSlab [eventChunkSize]Event
+type eventSlab [eventChunkSize]event
 
-// Scheduler is the discrete-event simulation core: a virtual clock and a
-// priority queue of events. It is single-goroutine by design — all of the
-// simulation's concurrency is virtual; independent Schedulers may run on
-// concurrent goroutines. A Scheduler also acts as the root of the
+// Scheduler is the discrete-event simulation core: a virtual clock and
+// two priority queues, one of fire-and-forget events and one of armed
+// timers (see Timer), dispatched together in (when, seq) order. It is
+// single-goroutine by design — all of the simulation's concurrency is
+// virtual; independent Schedulers may run on concurrent goroutines. A Scheduler also acts as the root of the
 // simulation's deterministic randomness (see RNG).
 type Scheduler struct {
 	now      Time
 	heap     []entry // heap events plus the head of every non-empty lane
-	pending  int     // queued events, lane members included
+	pending  int     // queued events, lane members and armed timers included
 	seq      uint64
 	executed uint64
 	seed     int64
 	streams  int64
 	halted   bool
 
-	// Event storage: fixed-size slabs keep *Event stable while the
-	// freelist recycles fired/cancelled events (by id, keeping the
-	// freelist pointer-free too), so steady-state scheduling does not
-	// allocate.
+	// Event storage: fixed-size slabs keep *event stable while the
+	// freelist recycles fired events (by id, keeping the freelist
+	// pointer-free too), so steady-state scheduling does not allocate.
 	slabs  []*eventSlab
 	free   []uint32
 	chunks int // number of slabs allocated (growth observability)
+
+	// Timer storage: one entry per armed timer in its own heap, keyed by
+	// the timer's id (see Timer).
+	timers   []entry   // armed timers' heap
+	timerPos []int32   // timer id -> index in timers; -1 while disarmed
+	timerFns []Handler // timer id -> expiry handler
 }
 
 // eventAt resolves a slab id back to its event.
-func (s *Scheduler) eventAt(id uint32) *Event {
+func (s *Scheduler) eventAt(id uint32) *event {
 	return &s.slabs[id>>eventChunkShift][id&eventChunkMask]
 }
 
@@ -144,16 +138,16 @@ func (s *Scheduler) Now() Time { return s.now }
 // accounting and benchmarks).
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending reports the number of events still queued (including cancelled
-// events not yet skipped and events waiting in lanes).
+// Pending reports the number of events still queued, events waiting in
+// lanes and armed timers included.
 func (s *Scheduler) Pending() int { return s.pending }
 
 // Stats reports the event slab's occupancy in the same shape the object
-// pools use: chunks grown, events currently queued (live), and freelist
-// depth. Every At call checks an event out, so Gets equals the lifetime
-// schedule count.
+// pools use: chunks grown, events queued plus timers armed (live), and
+// freelist depth. Every At call and every timer arm takes a seq, so Gets
+// equals the lifetime count of schedules and arms.
 func (s *Scheduler) Stats() pool.Stats {
-	live := s.chunks*eventChunkSize - len(s.free)
+	live := s.chunks*eventChunkSize - len(s.free) + len(s.timers)
 	return pool.Stats{
 		Chunks:    s.chunks,
 		ChunkSize: eventChunkSize,
@@ -177,9 +171,9 @@ func (s *Scheduler) RNG() *rand.Rand {
 	return rand.New(rand.NewSource(int64(z)))
 }
 
-// alloc hands out an Event from the freelist, growing the slab by one
+// alloc hands out an event from the freelist, growing the slab by one
 // chunk only when every previously allocated event is live.
-func (s *Scheduler) alloc() *Event {
+func (s *Scheduler) alloc() *event {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
 		s.free = s.free[:n-1]
@@ -198,7 +192,7 @@ func (s *Scheduler) alloc() *Event {
 }
 
 // release returns a drained event to the freelist.
-func (s *Scheduler) release(ev *Event) {
+func (s *Scheduler) release(ev *event) {
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
@@ -207,46 +201,47 @@ func (s *Scheduler) release(ev *Event) {
 
 // newEvent checks out an event for time t with its handler (fn, or argFn
 // with arg) and the next seq; the caller queues it.
-func (s *Scheduler) newEvent(t Time, fn Handler, argFn ArgHandler, arg any) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
+func (s *Scheduler) newEvent(t Time, fn Handler, argFn ArgHandler, arg any) *event {
 	if fn == nil && argFn == nil {
 		panic("sim: scheduling nil handler")
 	}
 	ev := s.alloc()
 	ev.when = t
-	ev.seq = s.seq
-	ev.cancelled = false
+	ev.seq = s.nextSeq(t)
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
-	s.seq++
 	s.pending++
 	return ev
 }
 
+// nextSeq takes the seq of an event or timer arm at time t, which must
+// not be in the past.
+func (s *Scheduler) nextSeq(t Time) uint64 {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	s.seq++
+	return s.seq - 1
+}
+
 // At schedules fn to run at absolute time t, which must not be in the past.
-func (s *Scheduler) At(t Time, fn Handler) *Event {
-	ev := s.newEvent(t, fn, nil, nil)
-	s.push(ev.key())
-	return ev
+func (s *Scheduler) At(t Time, fn Handler) {
+	s.push(s.newEvent(t, fn, nil, nil).key())
 }
 
 // AtCall schedules fn(arg) to run at absolute time t. It is the
 // allocation-free alternative to At for hot paths: fn is typically a
 // package-level function and arg a pooled object, so neither boxes.
-func (s *Scheduler) AtCall(t Time, fn ArgHandler, arg any) *Event {
-	ev := s.newEvent(t, nil, fn, arg)
-	s.push(ev.key())
-	return ev
+func (s *Scheduler) AtCall(t Time, fn ArgHandler, arg any) {
+	s.push(s.newEvent(t, nil, fn, arg).key())
 }
 
 // AtCallLane is AtCall with the event queued in lane l (see Lane) when t
 // is not before l's tail. An earlier t goes into the heap on its own,
 // which is always correct: a lane changes what dispatch costs, never its
-// order. Lane events are cancelled like any other.
-func (s *Scheduler) AtCallLane(l *Lane, t Time, fn ArgHandler, arg any) *Event {
+// order.
+func (s *Scheduler) AtCallLane(l *Lane, t Time, fn ArgHandler, arg any) {
 	ev := s.newEvent(t, nil, fn, arg)
 	switch tail := l.tail; {
 	case tail == nil:
@@ -260,35 +255,26 @@ func (s *Scheduler) AtCallLane(l *Lane, t Time, fn ArgHandler, arg any) *Event {
 	default:
 		s.push(ev.key())
 	}
-	return ev
 }
 
 // Schedule schedules fn to run after delay (which may be zero but not
 // negative).
-func (s *Scheduler) Schedule(delay Time, fn Handler) *Event {
+func (s *Scheduler) Schedule(delay Time, fn Handler) {
+	s.At(s.after(delay), fn)
+}
+
+// after converts a delay, which must not be negative, to an absolute time.
+func (s *Scheduler) after(delay Time) Time {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return s.At(s.now+delay, fn)
-}
-
-// Cancel marks ev so it will not fire. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Scheduler) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled {
-		return
-	}
-	ev.cancelled = true
-	// Release references held by the closure or argument.
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = nil
+	return s.now + delay
 }
 
 // Halt stops Run/RunUntil after the currently executing event returns.
 func (s *Scheduler) Halt() { s.halted = true }
 
-// push appends e and sifts it up to its heap position.
+// push appends e to the event heap and sifts it up to its position.
 func (s *Scheduler) push(e entry) {
 	h := append(s.heap, e)
 	i := len(h) - 1
@@ -303,11 +289,11 @@ func (s *Scheduler) push(e entry) {
 	s.heap = h
 }
 
-// pop removes and returns the earliest queued event. When it heads a lane,
-// the lane's next event takes over its heap slot; the next event is
-// usually only nanoseconds later, so its sift stops near the root. The
+// pop removes and returns the event heap's earliest event. When it heads
+// a lane, the lane's next event takes over its heap slot; the next event
+// is usually only nanoseconds later, so its sift stops near the root. The
 // caller must ensure the heap is non-empty.
-func (s *Scheduler) pop() *Event {
+func (s *Scheduler) pop() *event {
 	ev := s.eventAt(s.heap[0].id)
 	s.pending--
 	if l := ev.lane; l != nil {
@@ -359,26 +345,40 @@ func (s *Scheduler) siftDown(e entry) {
 	h[i] = e
 }
 
-// step pops and executes the next event. It reports false when the queue is
-// exhausted.
+// step pops and executes the next event or timer, whichever of the two
+// heap roots is earlier by (when, seq). It reports false when both queues
+// are empty.
 func (s *Scheduler) step() bool {
-	for len(s.heap) > 0 {
-		ev := s.pop()
-		if ev.cancelled {
-			s.release(ev)
-			continue
-		}
-		s.now = ev.when
-		s.executed++
-		if fn := ev.fn; fn != nil {
-			fn()
-		} else {
-			ev.argFn(ev.arg)
-		}
-		s.release(ev)
+	if len(s.timers) > 0 && (len(s.heap) == 0 || less(s.timers[0], s.heap[0])) {
+		s.fireTimer()
 		return true
 	}
-	return false
+	if len(s.heap) == 0 {
+		return false
+	}
+	ev := s.pop()
+	s.now = ev.when
+	s.executed++
+	if fn := ev.fn; fn != nil {
+		fn()
+	} else {
+		ev.argFn(ev.arg)
+	}
+	s.release(ev)
+	return true
+}
+
+// nextAt reports when the earliest queued event or timer is due, or Never
+// when nothing is queued.
+func (s *Scheduler) nextAt() Time {
+	t := Never
+	if len(s.heap) > 0 {
+		t = s.heap[0].when
+	}
+	if len(s.timers) > 0 && s.timers[0].when < t {
+		t = s.timers[0].when
+	}
+	return t
 }
 
 // Run executes events until the queue is empty or Halt is called.
@@ -395,19 +395,7 @@ func (s *Scheduler) Run() {
 // fire at their own times on the next Run or RunUntil.
 func (s *Scheduler) RunUntil(end Time) {
 	s.halted = false
-	for !s.halted {
-		// Peek: the heap root is the earliest event. Drain cancelled
-		// events so the peek sees a live one.
-		for len(s.heap) > 0 && s.eventAt(s.heap[0].id).cancelled {
-			s.release(s.pop())
-		}
-		if len(s.heap) == 0 {
-			break
-		}
-		if s.heap[0].when > end {
-			break
-		}
-		s.step()
+	for !s.halted && s.nextAt() <= end && s.step() {
 	}
 	if !s.halted && s.now < end {
 		s.now = end

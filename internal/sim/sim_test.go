@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -74,18 +74,27 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 	}
 }
 
+// Cancelling is stopping a timer: a stopped expiry never fires, a second
+// Stop is a no-op, and the stopped timer leaves nothing queued.
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	ev := s.Schedule(10*Microsecond, func() { fired = true })
-	s.Cancel(ev)
-	s.Cancel(ev) // double-cancel is a no-op
+	tm := NewTimer(s, func() { fired = true })
+	tm.Start(10 * Microsecond)
+	tm.Stop()
+	tm.Stop() // double-stop is a no-op
+	if tm.Pending() || tm.Deadline() != Never {
+		t.Errorf("stopped timer: Pending() = %v, Deadline() = %v", tm.Pending(), tm.Deadline())
+	}
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Stop, want 0", s.Pending())
+	}
 	s.Run()
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if s.Executed() != 0 {
+		t.Errorf("Executed() = %d, want 0", s.Executed())
 	}
 }
 
@@ -327,115 +336,133 @@ func TestPropertyRunUntilComplete(t *testing.T) {
 	}
 }
 
+// Property: of a batch of timers armed at random times, the stopped ones
+// never fire and every other one fires exactly once, at its deadline.
 func TestPropertyCancelledNeverFire(t *testing.T) {
-	f := func(delaysRaw []uint16, cancelMask []bool) bool {
+	f := func(delaysRaw []uint16, stopMask []bool) bool {
 		s := NewScheduler(9)
-		rng := rand.New(rand.NewSource(1))
-		_ = rng
-		firedCancelled := false
-		var events []*Event
+		stopped := func(i int) bool { return i < len(stopMask) && stopMask[i] }
+		fired := make([]int, len(delaysRaw))
+		ok := true
+		var timers []*Timer
 		for i, d := range delaysRaw {
-			i := i
-			ev := s.At(Time(d)*Microsecond, func() {
-				if i < len(cancelMask) && cancelMask[i] {
-					firedCancelled = true
-				}
-			})
-			events = append(events, ev)
+			i, when := i, Time(d)*Microsecond
+			timers = append(timers, NewTimer(s, func() {
+				fired[i]++
+				ok = ok && s.Now() == when
+			}))
+			timers[i].StartAt(when)
 		}
-		for i, ev := range events {
-			if i < len(cancelMask) && cancelMask[i] {
-				s.Cancel(ev)
+		for i, tm := range timers {
+			if stopped(i) {
+				tm.Stop()
 			}
 		}
 		s.Run()
-		return !firedCancelled
+		for i, n := range fired {
+			if stopped(i) && n != 0 || !stopped(i) && n != 1 {
+				return false
+			}
+		}
+		return ok && s.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Cancelled events must not disturb FIFO ordering among surviving
-// same-time events, even when cancellations interleave with scheduling.
+// Stopped timers must not disturb FIFO ordering among surviving
+// same-time expiries and plain events, even when stops interleave with
+// arming, and a re-arm to the same time goes to the back of the line: it
+// takes a fresh seq, as a new event would.
 func TestSameTimeFIFOWithCancellations(t *testing.T) {
 	s := NewScheduler(1)
+	const n = 20
 	var order []int
-	var events []*Event
-	for i := 0; i < 20; i++ {
+	timers := make([]*Timer, n)
+	stopped := make([]bool, n)
+	for i := 0; i < n; i++ {
 		i := i
-		events = append(events, s.At(5*Microsecond, func() { order = append(order, i) }))
-	}
-	for i, ev := range events {
-		if i%3 == 0 {
-			s.Cancel(ev)
+		if i%4 == 1 {
+			s.At(5*Microsecond, func() { order = append(order, i) })
+		} else {
+			timers[i] = NewTimer(s, func() { order = append(order, i) })
+			timers[i].StartAt(5 * Microsecond)
+		}
+		if j := i - 2; j >= 0 && j%3 == 0 && timers[j] != nil {
+			timers[j].Stop()
+			stopped[j] = true
 		}
 	}
+	timers[2].StartAt(5 * Microsecond)
 	s.Run()
-	want := 0
-	for i := 0; i < 20; i++ {
-		if i%3 == 0 {
-			continue
+	var want []int
+	for i := 0; i < n; i++ {
+		if !stopped[i] && i != 2 {
+			want = append(want, i)
 		}
-		if want >= len(order) || order[want] != i {
-			t.Fatalf("surviving same-time events out of FIFO order: %v", order)
-		}
-		want++
 	}
-	if want != len(order) {
-		t.Fatalf("fired %d events, want %d: %v", len(order), want, order)
+	want = append(want, 2)
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("same-time firing order %v, want %v", order, want)
 	}
 }
 
-// A cancel-heavy workload (the Timer restart pattern: every armed timeout
-// is cancelled and re-armed) must drain completely and fire nothing twice.
+// A restart-heavy workload (every armed timeout is restarted before it
+// expires) must fire nothing but the final arming of each timer, keep
+// exactly one queue entry per armed timer, and drain completely.
 func TestCancelHeavyWorkload(t *testing.T) {
 	s := NewScheduler(1)
 	fired := map[int]int{}
-	var pending []*Event
-	for round := 0; round < 50; round++ {
-		for _, ev := range pending {
-			s.Cancel(ev)
+	round := 0
+	var timers []*Timer
+	for i := 0; i < 10; i++ {
+		i := i
+		timers = append(timers, NewTimer(s, func() { fired[round*10+i]++ }))
+	}
+	for ; round < 50; round++ {
+		for i, tm := range timers {
+			tm.Start(Time(10+i) * Microsecond)
 		}
-		pending = pending[:0]
-		for i := 0; i < 10; i++ {
-			id := round*10 + i
-			pending = append(pending, s.Schedule(Time(10+i)*Microsecond, func() { fired[id]++ }))
+		if s.Pending() != len(timers) || len(s.timers) != len(timers) {
+			t.Fatalf("round %d: Pending() = %d, timer heap %d, want %d",
+				round, s.Pending(), len(s.timers), len(timers))
 		}
 		s.RunUntil(s.Now() + 5*Microsecond) // half-way: nothing due yet
 	}
+	round--
 	s.Run()
-	// Only the final round's events survive; each fires exactly once.
+	// Only the final round's armings fire, each exactly once.
 	if len(fired) != 10 {
-		t.Fatalf("%d distinct events fired, want 10", len(fired))
+		t.Fatalf("%d distinct armings fired, want 10", len(fired))
 	}
 	for id, n := range fired {
 		if id < 490 || n != 1 {
-			t.Fatalf("event %d fired %d times", id, n)
+			t.Fatalf("arming %d fired %d times", id, n)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending() = %d after Run, want 0", s.Pending())
+	if s.Pending() != 0 || s.Executed() != 10 {
+		t.Errorf("after Run: Pending() = %d, Executed() = %d, want 0 and 10", s.Pending(), s.Executed())
 	}
 }
 
 // Freelist reuse: once a workload's events have been popped, rescheduling
-// the same volume must reuse their storage instead of growing the slab.
+// the same volume must reuse their storage instead of growing the slab,
+// and timers restarted alongside take no event storage at all.
 func TestFreelistReuseAfterPop(t *testing.T) {
 	s := NewScheduler(1)
+	tm := NewTimer(s, func() {})
 	burst := func() {
 		for i := 0; i < 3*eventChunkSize; i++ {
-			ev := s.Schedule(Time(i)*Microsecond, func() {})
-			if i%2 == 0 {
-				s.Cancel(ev) // cancelled events recycle on pop too
-			}
+			s.Schedule(Time(i)*Microsecond, func() {})
+			tm.Start(Time(i+1) * Microsecond) // restarted every time
 		}
 		s.Run()
 	}
 	burst()
 	chunksAfterFirst := s.chunks
-	if chunksAfterFirst == 0 {
-		t.Fatal("no slab chunks allocated by first burst")
+	if chunksAfterFirst != 3 {
+		t.Fatalf("first burst allocated %d slab chunks, want 3", chunksAfterFirst)
 	}
 	for i := 0; i < 10; i++ {
 		burst()
@@ -444,23 +471,74 @@ func TestFreelistReuseAfterPop(t *testing.T) {
 		t.Errorf("slab grew from %d to %d chunks across identical bursts; freelist not reused",
 			chunksAfterFirst, s.chunks)
 	}
+	if st := s.Stats(); st.Live != 0 || st.Puts != st.Gets {
+		t.Errorf("drained scheduler: Live = %d, Gets = %d, Puts = %d", st.Live, st.Gets, st.Puts)
+	}
 }
 
-// Recycled events must present fresh state to the next Schedule call: a
-// cancelled-then-recycled slot starts un-cancelled.
+// Recycled events must present fresh state to the next schedule call: an
+// At event's slot reused by AtCall runs the new handler with its
+// argument, not the old closure.
 func TestRecycledEventStateReset(t *testing.T) {
 	s := NewScheduler(1)
-	ev := s.Schedule(Microsecond, func() {})
-	s.Cancel(ev)
-	s.Run() // drains and recycles ev
-	fired := false
-	ev2 := s.Schedule(Microsecond, func() { fired = true })
-	if ev2.Cancelled() {
-		t.Fatal("recycled event starts cancelled")
+	stale := 0
+	s.Schedule(Microsecond, func() { stale++ })
+	s.Run() // fires and recycles the event
+	var got any
+	s.AtCall(s.Now()+Microsecond, func(x any) { got = x }, 7)
+	if len(s.free) != eventChunkSize-1 {
+		t.Fatalf("AtCall did not reuse the recycled slot: %d free", len(s.free))
 	}
 	s.Run()
-	if !fired {
-		t.Fatal("event on recycled storage did not fire")
+	if stale != 1 || got != 7 {
+		t.Fatalf("recycled slot: old handler ran %d times, new handler got %v", stale, got)
+	}
+}
+
+// Scheduler accounting: Gets counts every schedule and every timer arm,
+// Live counts queued events plus armed timers, and Puts = Gets - Live.
+func TestSchedulerStatsCountTimerArms(t *testing.T) {
+	s := NewScheduler(1)
+	a := NewTimer(s, func() {})
+	b := NewTimer(s, func() {})
+	s.At(5, func() {})
+	a.Start(10)
+	a.Start(20) // a re-arm is an arm
+	b.Start(30)
+	b.Stop()
+	st := s.Stats()
+	if st.Gets != 4 || st.Live != 2 || st.Puts != 2 || s.Pending() != 2 {
+		t.Errorf("Stats() = %+v, Pending() = %d; want Gets 4, Live 2, Puts 2, Pending 2", st, s.Pending())
+	}
+}
+
+// A warmed timer re-arms, stops and fires without allocating.
+func TestTimerRearmAllocatesNothing(t *testing.T) {
+	s := NewScheduler(1)
+	n := 0
+	var others []*Timer
+	for i := 0; i < 8; i++ {
+		tm := NewTimer(s, func() {})
+		tm.Start(Time(100 + i))
+		others = append(others, tm)
+	}
+	tm := NewTimer(s, func() { n++ })
+	tm.Start(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		tm.Start(50)
+		tm.StartAt(s.Now() + 2)
+		tm.Stop()
+		tm.Start(1)
+		s.RunUntil(s.Now() + 1)
+		for _, o := range others {
+			o.Start(100)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("timer re-arm/stop/fire allocates %.1f allocs/run, want 0", allocs)
+	}
+	if n != 101 { // AllocsPerRun adds one warm-up run
+		t.Errorf("timer fired %d times, want 101", n)
 	}
 }
 
@@ -479,22 +557,24 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerCancelHeavy models the MAC's dominant pattern: nearly
-// every scheduled timeout is cancelled (ACK arrives before the timer) and
-// replaced. The queue must absorb the dead events without allocating.
-func BenchmarkSchedulerCancelHeavy(b *testing.B) {
+// BenchmarkSchedulerTimerRestart models the MAC's dominant pattern: a
+// 50 µs timeout restarted on every 1 µs tick (the response arrives, or
+// the channel goes busy, before the timer expires), so it never fires.
+// One op is one tick.
+func BenchmarkSchedulerTimerRestart(b *testing.B) {
 	b.ReportAllocs()
 	s := NewScheduler(1)
+	timeout := NewTimer(s, func() { panic("restarted timer fired") })
 	n := 0
 	var tick func()
 	tick = func() {
 		n++
 		if n >= b.N {
+			timeout.Stop()
 			return
 		}
-		doomed := s.Schedule(50*Microsecond, func() { panic("cancelled event fired") })
+		timeout.Start(50 * Microsecond)
 		s.Schedule(Microsecond, tick)
-		s.Cancel(doomed)
 	}
 	b.ResetTimer()
 	s.Schedule(0, tick)
@@ -564,4 +644,40 @@ func BenchmarkSchedulerLanes(b *testing.B) {
 			s.Run()
 		})
 	}
+}
+
+// BenchmarkSchedulerLaneTimers is BenchmarkSchedulerLanes' lane case with
+// a station's timers added: each transmitter's access timer re-arms
+// itself from its own handler to start the next transmission, and every
+// transmission restarts a response timeout that the next one always
+// beats, as an ACK arriving in time does. One op is one dispatched event.
+func BenchmarkSchedulerLaneTimers(b *testing.B) {
+	const width, fanout = 4096, 20
+	b.ReportAllocs()
+	s := NewScheduler(1)
+	n := 0
+	arrive := func(any) { n++ }
+	type station struct {
+		lane            Lane
+		access, timeout *Timer
+	}
+	stations := make([]station, width)
+	for i := range stations {
+		st := &stations[i]
+		st.timeout = NewTimer(s, func() {})
+		st.access = NewTimer(s, func() {
+			n++
+			if n >= b.N {
+				return
+			}
+			for j := 1; j <= fanout; j++ {
+				s.AtCallLane(&st.lane, s.Now()+Time(j), arrive, nil)
+			}
+			st.timeout.Start(2 * width * Microsecond)
+			st.access.Start(width * Microsecond)
+		})
+		st.access.StartAt(Time(i) * Microsecond)
+	}
+	b.ResetTimer()
+	s.Run()
 }
