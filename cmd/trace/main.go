@@ -298,8 +298,8 @@ func checkFiles(paths []string) int {
 			return fail(err)
 		}
 		ck := trace.NewChecker(meta.Timing)
-		for _, e := range events {
-			ck.Feed(e)
+		for i := range events {
+			ck.Feed(&events[i])
 		}
 		if n := ck.Count(); n > 0 {
 			bad += n

@@ -103,24 +103,30 @@ func (c *Collector) ViolationCount() int {
 	return n
 }
 
-// compareStreams orders two recorders by their retained event streams.
-// Equal events are skipped without rendering them: == and the rendered
-// compare in compareEvents agree on every event the simulator records
-// (they could differ only on a signed-zero RSSIDBm).
+// compareStreams orders two recorders by their retained event streams,
+// walking both rings in place from their oldest slots. Equal events are
+// skipped without rendering them: == and the rendered compare in
+// compareEvents agree on every event the simulator records (they could
+// differ only on a signed-zero RSSIDBm).
 func compareStreams(a, b *Recorder) int {
-	ea, eb := a.mergedEvents(), b.mergedEvents()
-	for i := range min(len(ea), len(eb)) {
-		if ea[i] == eb[i] {
-			continue
+	i, j := a.next, b.next
+	for range min(len(a.ring), len(b.ring)) {
+		if ea, eb := &a.ring[i], &b.ring[j]; *ea != *eb {
+			if c := compareEvents(ea, eb); c != 0 {
+				return c
+			}
 		}
-		if c := compareEvents(ea[i], eb[i]); c != 0 {
-			return c
+		if i++; i == len(a.ring) {
+			i = 0
+		}
+		if j++; j == len(b.ring) {
+			j = 0
 		}
 	}
-	return cmp.Compare(len(ea), len(eb))
+	return cmp.Compare(len(a.ring), len(b.ring))
 }
 
-func compareEvents(a, b Event) int {
+func compareEvents(a, b *Event) int {
 	if a.At != b.At {
 		if a.At < b.At {
 			return -1

@@ -158,12 +158,17 @@ func WriteJSONL(w io.Writer, meta Meta, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a trace file written by WriteJSONL.
+// ReadJSONL parses a trace file written by WriteJSONL. Blank lines are
+// skipped; the first other line must be the header, and exactly the
+// header's events − dropped event lines must follow, so a truncated (or
+// padded) export is an error rather than a silently shorter trace.
 func ReadJSONL(r io.Reader) (Meta, []Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var meta Meta
 	var events []Event
+	var want uint64 // event lines the header promises
+	header := false
 	line := 0
 	for sc.Scan() {
 		line++
@@ -171,14 +176,25 @@ func ReadJSONL(r io.Reader) (Meta, []Event, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if line == 1 {
+		if !header {
 			if err := json.Unmarshal(raw, &meta); err != nil {
-				return Meta{}, nil, fmt.Errorf("trace: header: %w", err)
+				return Meta{}, nil, fmt.Errorf("trace: line %d: header: %w", line, err)
 			}
 			if meta.Version != FormatVersion {
 				return Meta{}, nil, fmt.Errorf("trace: unsupported format %q (want %q)", meta.Version, FormatVersion)
 			}
+			if meta.Dropped > meta.Events {
+				return Meta{}, nil, fmt.Errorf("trace: header drops %d of %d events", meta.Dropped, meta.Events)
+			}
+			if len(meta.Stations) == 0 {
+				meta.Stations = nil // "stations":[] reads as no stations, as written
+			}
+			want = meta.Events - meta.Dropped
+			header = true
 			continue
+		}
+		if uint64(len(events)) == want {
+			return Meta{}, nil, fmt.Errorf("trace: line %d: more than the header's %d events", line, want)
 		}
 		var w eventJSON
 		if err := json.Unmarshal(raw, &w); err != nil {
@@ -193,8 +209,11 @@ func ReadJSONL(r io.Reader) (Meta, []Event, error) {
 	if err := sc.Err(); err != nil {
 		return Meta{}, nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	if line == 0 {
-		return Meta{}, nil, fmt.Errorf("trace: empty trace file")
+	if !header {
+		return Meta{}, nil, fmt.Errorf("trace: no header line (empty trace file)")
+	}
+	if n := uint64(len(events)); n != want {
+		return Meta{}, nil, fmt.Errorf("trace: truncated: header promises %d events, file holds %d", want, n)
 	}
 	return meta, events, nil
 }

@@ -85,18 +85,90 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// sampleJSONL is recordSample's export as JSONL.
+func sampleJSONL(t testing.TB) string {
+	t.Helper()
+	r := recordSample()
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, r.Meta("fig1", 42), r.Events()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestReadJSONLRejectsGarbage covers the error paths: wrong version, no
-// header, empty input.
+// header, empty or blank-only input, an event line where the header
+// belongs, and an event count that disagrees with the header.
 func TestReadJSONLRejectsGarbage(t *testing.T) {
+	sample := sampleJSONL(t)
+	lines := strings.SplitAfter(sample, "\n") // header, events..., ""
+	header := lines[0]
+	overDropped := strings.Replace(header, `"events":13`, `"events":13,"dropped":14`, 1)
+	if overDropped == header {
+		t.Fatalf("sample header lacks the 13-event count: %s", header)
+	}
 	for name, in := range map[string]string{
 		"empty":        "",
 		"wrongVersion": `{"v":"other/v9"}` + "\n",
 		"notJSON":      "hello\n",
+		"blankOnly":    "\n  \n\t\n",
+		"eventFirst":   strings.Join(lines[1:], ""),
+		"headerOnly":   header,
+		"truncated":    strings.Join(lines[:len(lines)-2], ""),
+		"padded":       sample + lines[1],
+		"overDropped":  overDropped,
 	} {
 		if _, _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
+}
+
+// TestReadJSONLSkipsBlankLines: blank lines anywhere, including before
+// the header, do not change what a file reads as.
+func TestReadJSONLSkipsBlankLines(t *testing.T) {
+	sample := sampleJSONL(t)
+	wantMeta, wantEvents, err := ReadJSONL(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := "\n  \n" + strings.ReplaceAll(sample, "\n", "\n\n")
+	meta, events, err := ReadJSONL(strings.NewReader(spaced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(meta, wantMeta) || !reflect.DeepEqual(events, wantEvents) {
+		t.Error("blank lines changed the parsed trace")
+	}
+}
+
+// FuzzReadJSONL: no input makes the reader panic, and any input it
+// accepts survives WriteJSONL → ReadJSONL unchanged.
+func FuzzReadJSONL(f *testing.F) {
+	sample := sampleJSONL(f)
+	f.Add(sample)
+	f.Add("\n" + sample)
+	f.Add(strings.SplitAfter(sample, "\n")[0])
+	f.Fuzz(func(t *testing.T, in string) {
+		meta, events, err := ReadJSONL(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, meta, events); err != nil {
+			t.Fatalf("rewriting an accepted trace: %v", err)
+		}
+		meta2, events2, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted trace: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(meta2, meta) {
+			t.Errorf("meta changed in round trip:\n got %+v\nwant %+v", meta2, meta)
+		}
+		if !reflect.DeepEqual(events2, events) {
+			t.Errorf("events changed in round trip:\n got %+v\nwant %+v", events2, events)
+		}
+	})
 }
 
 // TestChromeTraceExport: the export must be valid JSON with per-station

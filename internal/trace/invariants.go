@@ -122,8 +122,12 @@ type staState struct {
 // exactly that); the checker needs MAC-probe events, so channel-only
 // traces pass vacuously.
 type Checker struct {
-	timing     Timing
-	sta        map[mac.NodeID]*staState
+	timing Timing
+	// sta holds per-station state indexed by station id, grown on demand;
+	// ids outside [0, maxDenseStation) (only ever seen in hand-written
+	// trace files) live in staOther.
+	sta        []*staState
+	staOther   map[mac.NodeID]*staState
 	violations []Violation
 	count      int
 
@@ -136,7 +140,7 @@ type Checker struct {
 
 // NewChecker builds a checker for a world running under the given timing.
 func NewChecker(t Timing) *Checker {
-	return &Checker{timing: t, sta: make(map[mac.NodeID]*staState)}
+	return &Checker{timing: t, staOther: make(map[mac.NodeID]*staState)}
 }
 
 // SetTiming replaces the timing; call before feeding events.
@@ -156,11 +160,25 @@ func (c *Checker) report(v Violation) {
 	}
 }
 
+// maxDenseStation bounds the dense per-station table, so a trace file
+// naming a huge station id cannot make the checker allocate a table that
+// large.
+const maxDenseStation = 1 << 16
+
 func (c *Checker) state(id mac.NodeID) *staState {
-	s, ok := c.sta[id]
+	if i := int(id); i >= 0 && i < maxDenseStation {
+		if i >= len(c.sta) {
+			c.sta = append(c.sta, make([]*staState, i+1-len(c.sta))...)
+		}
+		if c.sta[i] == nil {
+			c.sta[i] = &staState{id: id}
+		}
+		return c.sta[i]
+	}
+	s, ok := c.staOther[id]
 	if !ok {
 		s = &staState{id: id}
-		c.sta[id] = s
+		c.staOther[id] = s
 	}
 	return s
 }
@@ -184,19 +202,22 @@ func (s *staState) advance(t sim.Time) {
 }
 
 // markBusy notes a medium-busy onset caused by event e at time t.
-func (s *staState) markBusy(t sim.Time, e Event) {
+func (s *staState) markBusy(t sim.Time, e *Event) {
 	if !s.busy {
 		s.busy = true
-		s.busyEvent = e
+		s.busyEvent = *e
 	}
 	if s.counting && s.cdBusyAt == 0 {
 		s.cdBusyAt = t
-		s.cdBusyEv = e
+		s.cdBusyEv = *e
 	}
 }
 
-// Feed consumes the next event in stream order.
-func (c *Checker) Feed(e Event) {
+// Feed consumes the next event in stream order. The checker reads *e
+// only during the call and copies what it keeps as evidence, so e may
+// point into storage the caller reuses (a Recorder sink passes its ring
+// slot).
+func (c *Checker) Feed(e *Event) {
 	if !c.seenAny {
 		c.seenAny = true
 		c.begin = e.At
@@ -219,14 +240,14 @@ func (c *Checker) Feed(e Event) {
 		s.markBusy(t, e)
 		if until := t + e.Frame.Airtime; until > s.txUntil {
 			s.txUntil = until
-			s.txEvent = e
+			s.txEvent = *e
 		}
 
 	case KindNAVUpdate:
 		if e.Until > s.navUntil {
 			s.markBusy(t, e)
 			s.navUntil = e.Until
-			s.navEvent = e
+			s.navEvent = *e
 		}
 
 	case KindNAVExpire:
@@ -238,14 +259,14 @@ func (c *Checker) Feed(e Event) {
 
 	case KindCorrupt:
 		s.eifs = true
-		s.eifsEvent = e
+		s.eifsEvent = *e
 		s.noteRx(e, c.timing.SIFS)
 
 	case KindBackoffResume:
 		s.counting = true
 		s.cdStart = t
 		s.cdSlots = e.Slots
-		s.cdEvent = e
+		s.cdEvent = *e
 		s.cdBusyAt = 0
 
 	case KindBackoffFreeze:
@@ -271,23 +292,26 @@ func (c *Checker) Feed(e Event) {
 // noteRx records a reception end and prunes ones too old to be answered
 // by a SIFS response (the window keeps the slice a handful long even
 // under heavy hidden-terminal overlap).
-func (s *staState) noteRx(e Event, sifs sim.Time) {
-	keep := s.rx[:0]
-	for _, rx := range s.rx {
-		if rx.At+sifs >= e.At {
-			keep = append(keep, rx)
+func (s *staState) noteRx(e *Event, sifs sim.Time) {
+	keep := 0
+	for i := range s.rx {
+		if s.rx[i].At+sifs >= e.At {
+			if keep != i {
+				s.rx[keep] = s.rx[i]
+			}
+			keep++
 		}
 	}
-	s.rx = append(keep, e)
+	s.rx = append(s.rx[:keep], *e)
 }
 
-func (c *Checker) checkContend(s *staState, e Event) {
+func (c *Checker) checkContend(s *staState, e *Event) {
 	t := e.At
 	if t < s.navUntil {
 		c.report(Violation{
 			Invariant: InvNAV, At: t, Station: s.id,
 			Detail:   fmt.Sprintf("contention TX of %s while NAV holds until %v", e.Frame.Type, s.navUntil),
-			Evidence: []Event{e, s.navEvent},
+			Evidence: []Event{*e, s.navEvent},
 		})
 		return
 	}
@@ -295,17 +319,19 @@ func (c *Checker) checkContend(s *staState, e Event) {
 		c.report(Violation{
 			Invariant: InvIFS, At: t, Station: s.id,
 			Detail:   fmt.Sprintf("contention TX of %s on a busy medium", e.Frame.Type),
-			Evidence: []Event{e, s.busyEvent},
+			Evidence: []Event{*e, s.busyEvent},
 		})
 		return
 	}
 	ifs, reason := c.timing.DIFS, "DIFS"
-	evidence := []Event{e}
 	if s.eifs {
 		ifs, reason = c.timing.EIFS, "EIFS"
-		evidence = append(evidence, s.eifsEvent)
 	}
 	if t-s.idleSince < ifs {
+		evidence := []Event{*e}
+		if s.eifs {
+			evidence = append(evidence, s.eifsEvent)
+		}
 		c.report(Violation{
 			Invariant: InvIFS, At: t, Station: s.id,
 			Detail: fmt.Sprintf("contention TX of %s only %v after the medium went idle (need %s=%v)",
@@ -315,7 +341,7 @@ func (c *Checker) checkContend(s *staState, e Event) {
 	}
 }
 
-func (c *Checker) checkRespond(s *staState, e Event) {
+func (c *Checker) checkRespond(s *staState, e *Event) {
 	t := e.At
 	want := t - c.timing.SIFS
 	if want < c.begin {
@@ -327,20 +353,21 @@ func (c *Checker) checkRespond(s *staState, e Event) {
 	// exactly SIFS ago. Later overlapped arrivals (hidden terminals) may
 	// have ended in between; they do not reset the response clock, so
 	// match against every reception still inside the SIFS window.
-	var answered []Event
-	for _, rx := range s.rx {
-		if rx.At == want {
-			answered = append(answered, rx)
+	answered := false
+	for i := range s.rx {
+		if s.rx[i].At == want {
+			answered = true
+			break
 		}
 	}
-	if len(answered) == 0 {
+	if !answered {
 		detail := fmt.Sprintf("%s response with no reception ending SIFS=%v earlier (at %v)",
 			e.Frame.Type, c.timing.SIFS, want)
-		evidence := []Event{e}
+		evidence := []Event{*e}
 		if n := len(s.rx); n > 0 {
-			last := s.rx[n-1]
+			last := &s.rx[n-1]
 			detail += fmt.Sprintf("; nearest reception ended %dns before the response", int64(t-last.At))
-			evidence = append(evidence, last)
+			evidence = append(evidence, *last)
 		}
 		c.report(Violation{
 			Invariant: InvSIFS, At: t, Station: s.id,
@@ -360,26 +387,32 @@ func (c *Checker) checkRespond(s *staState, e Event) {
 	default:
 		return // ACKs answer any reception outcome (fake ACKs answer corruption)
 	}
-	for _, rx := range answered {
-		if rx.Kind == KindDecode && rx.Frame.Type == need && rx.Frame.Dst == s.id {
+	for i := range s.rx {
+		if rx := &s.rx[i]; rx.At == want && rx.Kind == KindDecode && rx.Frame.Type == need && rx.Frame.Dst == s.id {
 			return
+		}
+	}
+	evidence := []Event{*e}
+	for _, rx := range s.rx {
+		if rx.At == want {
+			evidence = append(evidence, rx)
 		}
 	}
 	c.report(Violation{
 		Invariant: InvSIFS, At: t, Station: s.id,
 		Detail:   fmt.Sprintf("%s response without a decoded %s addressed to this station at %v", e.Frame.Type, need, want),
-		Evidence: append([]Event{e}, answered...),
+		Evidence: evidence,
 	})
 }
 
-func (c *Checker) checkFreeze(s *staState, e Event) {
+func (c *Checker) checkFreeze(s *staState, e *Event) {
 	t := e.At
 	if s.cdBusyAt != 0 && s.cdBusyAt < t {
 		c.report(Violation{
 			Invariant: InvBackoff, At: t, Station: s.id,
 			Detail: fmt.Sprintf("countdown ran until %v through a medium-busy onset at %v",
 				t, s.cdBusyAt),
-			Evidence: []Event{e, s.cdEvent, s.cdBusyEv},
+			Evidence: []Event{*e, s.cdEvent, s.cdBusyEv},
 		})
 		return
 	}
@@ -390,19 +423,19 @@ func (c *Checker) checkFreeze(s *staState, e Event) {
 			Invariant: InvBackoff, At: t, Station: s.id,
 			Detail: fmt.Sprintf("freeze consumed %d slots but only %d idle slots elapsed since %v",
 				consumed, elapsed, s.cdStart),
-			Evidence: []Event{e, s.cdEvent},
+			Evidence: []Event{*e, s.cdEvent},
 		})
 	}
 }
 
-func (c *Checker) checkExpire(s *staState, e Event) {
+func (c *Checker) checkExpire(s *staState, e *Event) {
 	t := e.At
 	if s.cdBusyAt != 0 && s.cdBusyAt < t {
 		c.report(Violation{
 			Invariant: InvBackoff, At: t, Station: s.id,
 			Detail: fmt.Sprintf("countdown expired at %v despite a medium-busy onset at %v",
 				t, s.cdBusyAt),
-			Evidence: []Event{e, s.cdEvent, s.cdBusyEv},
+			Evidence: []Event{*e, s.cdEvent, s.cdBusyEv},
 		})
 		return
 	}
@@ -411,7 +444,7 @@ func (c *Checker) checkExpire(s *staState, e Event) {
 			Invariant: InvBackoff, At: t, Station: s.id,
 			Detail: fmt.Sprintf("countdown of %d slots from %v must expire at %v, not %v",
 				s.cdSlots, s.cdStart, want, t),
-			Evidence: []Event{e, s.cdEvent},
+			Evidence: []Event{*e, s.cdEvent},
 		})
 	}
 }

@@ -11,8 +11,8 @@ import (
 // feedAll runs a hand-built event stream through a fresh checker.
 func feedAll(events []Event) *Checker {
 	c := NewChecker(DefaultTiming())
-	for _, e := range events {
-		c.Feed(e)
+	for i := range events {
+		c.Feed(&events[i])
 	}
 	return c
 }
@@ -35,22 +35,26 @@ const us = sim.Microsecond
 
 // TestInvariantTxWhileNAVBlocked: a fake MAC that wins contention while
 // its own NAV still holds the medium must be caught, and the violation
-// must cite both the transmission and the NAV update it ignored.
+// must cite both the transmission and the NAV update it ignored. Station
+// ids a trace file may carry outside the dense per-station table
+// (negative, or beyond maxDenseStation) are tracked the same way.
 func TestInvariantTxWhileNAVBlocked(t *testing.T) {
-	navSet := Event{Kind: KindNAVUpdate, At: 100 * us, Station: 1, Until: 10000 * us}
-	rogue := Event{Kind: KindTxContend, At: 5000 * us, Station: 1,
-		Frame: FrameInfo{Type: mac.FrameRTS, Src: 1, Dst: 2}}
-	c := feedAll([]Event{navSet, rogue})
+	for _, sta := range []mac.NodeID{1, -3, maxDenseStation + 5} {
+		navSet := Event{Kind: KindNAVUpdate, At: 100 * us, Station: sta, Until: 10000 * us}
+		rogue := Event{Kind: KindTxContend, At: 5000 * us, Station: sta,
+			Frame: FrameInfo{Type: mac.FrameRTS, Src: sta, Dst: 2}}
+		c := feedAll([]Event{navSet, rogue})
 
-	v := requireViolation(t, c, InvNAV)
-	if v.Station != 1 || v.At != 5000*us {
-		t.Errorf("violation at sta=%d t=%v, want sta=1 t=5ms", v.Station, v.At)
-	}
-	if len(v.Evidence) != 2 || v.Evidence[0].Kind != KindTxContend || v.Evidence[1].Kind != KindNAVUpdate {
-		t.Errorf("evidence = %v, want [TX-CONTEND, NAV-SET]", v.Evidence)
-	}
-	if !strings.Contains(v.String(), "NAV holds until 10.000ms") {
-		t.Errorf("violation text missing NAV deadline:\n%s", v)
+		v := requireViolation(t, c, InvNAV)
+		if v.Station != sta || v.At != 5000*us {
+			t.Errorf("violation at sta=%d t=%v, want sta=%d t=5ms", v.Station, v.At, sta)
+		}
+		if len(v.Evidence) != 2 || v.Evidence[0].Kind != KindTxContend || v.Evidence[1].Kind != KindNAVUpdate {
+			t.Errorf("evidence = %v, want [TX-CONTEND, NAV-SET]", v.Evidence)
+		}
+		if !strings.Contains(v.String(), "NAV holds until 10.000ms") {
+			t.Errorf("violation text missing NAV deadline:\n%s", v)
+		}
 	}
 }
 
@@ -261,9 +265,9 @@ func TestTruncatedStreamSkipsPreHorizonChecks(t *testing.T) {
 func TestViolationRetentionCap(t *testing.T) {
 	c := NewChecker(DefaultTiming())
 	nav := Event{Kind: KindNAVUpdate, At: 0, Station: 1, Until: sim.Second}
-	c.Feed(nav)
+	c.Feed(&nav)
 	for i := 0; i < maxViolations+20; i++ {
-		c.Feed(Event{Kind: KindTxContend, At: sim.Time(i+1) * us, Station: 1,
+		c.Feed(&Event{Kind: KindTxContend, At: sim.Time(i+1) * us, Station: 1,
 			Frame: FrameInfo{Type: mac.FrameRTS, Src: 1, Dst: 2}})
 	}
 	if c.Count() != maxViolations+20 {

@@ -224,34 +224,22 @@ func retryMark(retry bool) string {
 }
 
 // Recorder implements medium.Tap and mac.Probe: it keeps the most recent
-// events in bounded per-station rings (flight-recorder semantics) and
-// accumulates channel statistics for the whole run. It has no dependency
-// on a scheduler, so it can be built before the world it taps. Not safe
-// for concurrent use; attach one recorder per world.
+// events in one bounded ring (flight-recorder semantics) and accumulates
+// channel statistics for the whole run. It has no dependency on a
+// scheduler, so it can be built before the world it taps. Not safe for
+// concurrent use; attach one recorder per world.
 //
-// Sharding is an internal layout choice only: every event carries a
-// global monotonic sequence stamp, and readers see the canonical merge —
-// the newest `cap` events across all stations in record order, exactly
-// what a single shared ring of the same capacity would have retained.
-// (An event within the global newest-cap window has fewer than cap
-// events after it overall, hence fewer than cap after it in its own
-// shard, so a per-shard capacity of cap is guaranteed to still hold it.)
-// Keeping each station's stream in its own ring makes the hot record
-// path a plain append into a small per-station buffer; export time pays
-// one linear pass that puts each retained event at its sequence stamp's
-// place.
+// The ring holds the newest cap events in record order: slots fill in
+// place, and once the ring is full the canonical stream starts at the
+// oldest slot, next, and wraps round to next-1. Readers walk those two
+// segments in place.
 type Recorder struct {
-	cap    int
-	shards []traceShard // indexed by station id (negatives fold into 0)
+	cap  int
+	ring []Event // allocated at cap on the first event, then wraps
+	next int     // oldest slot once len(ring) == cap
 
-	// merged caches the canonical view, valid while mergedAt == total.
-	// (A generation stamp instead of nilling the cache per record: the
-	// nil store was a GC write barrier on the hottest path.)
-	merged   []Event
-	mergedAt uint64
-
-	total uint64      // count of events ever recorded; doubles as seq stamp
-	sink  func(Event) // optional streaming consumer, sees every event
+	total uint64       // count of events ever recorded
+	sink  func(*Event) // optional streaming consumer, sees every event
 
 	names  map[mac.NodeID]string
 	timing Timing
@@ -260,18 +248,6 @@ type Recorder struct {
 	onTiming func(Timing)
 
 	acc statsAccum
-}
-
-// traceShard is one station's bounded event ring.
-type traceShard struct {
-	ring []shardEvent // grows lazily up to the recorder cap, then wraps
-	next int          // oldest slot once len(ring) == cap
-}
-
-// shardEvent stamps a recorded event with its global sequence number.
-type shardEvent struct {
-	seq uint64 // 1-based record order across all shards
-	ev  Event
 }
 
 var (
@@ -322,8 +298,8 @@ type statsAccum struct {
 }
 
 // NewRecorder builds a recorder keeping the last capacity events
-// (default 4096). Rings grow lazily, so a large capacity costs memory
-// only as events actually accumulate.
+// (default 4096). The ring is allocated on the first recorded event, so
+// a recorder that never records costs nothing.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 4096
@@ -333,8 +309,10 @@ func NewRecorder(capacity int) *Recorder {
 
 // SetSink installs a streaming consumer that sees every event in order,
 // regardless of ring evictions — the invariant checker consumes the full
-// stream this way while the ring stays bounded.
-func (r *Recorder) SetSink(fn func(Event)) { r.sink = fn }
+// stream this way while the ring stays bounded. The pointee is the ring
+// slot the event was just recorded into, valid only during the call: a
+// later event may overwrite it, so the sink must copy what it keeps.
+func (r *Recorder) SetSink(fn func(*Event)) { r.sink = fn }
 
 // SetStationName registers a human-readable name used by the exporters.
 func (r *Recorder) SetStationName(id mac.NodeID, name string) {
@@ -369,43 +347,29 @@ func (r *Recorder) Dropped() uint64 {
 	return r.total - uint64(r.cap)
 }
 
-// slot reserves the next ring slot for station sta and returns the Event
-// to fill in place — callers write the record directly into the ring
-// (one struct store) instead of building it on the stack and copying.
-// The caller must overwrite every field (assign a composite literal).
-func (r *Recorder) slot(sta mac.NodeID) *Event {
+// slot reserves the next ring slot and returns the Event to fill in
+// place — callers write the record directly into the ring (one struct
+// store) instead of building it on the stack and copying. The caller must
+// overwrite every field.
+func (r *Recorder) slot() *Event {
 	r.total++
-	idx := int(sta)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.shards) {
-		grown := make([]traceShard, idx+1)
-		copy(grown, r.shards)
-		r.shards = grown
-	}
-	s := &r.shards[idx]
-	if n := len(s.ring); n < r.cap {
-		if s.ring == nil {
+	if n := len(r.ring); n < r.cap {
+		if r.ring == nil {
 			// Reserve full capacity up front: append-doubling on the
 			// record path generated most of the traced-run garbage.
-			s.ring = make([]shardEvent, 0, r.cap)
+			r.ring = make([]Event, 0, r.cap)
 		}
 		// Reslice rather than append a zero value: the backing array is
 		// already zeroed and the caller overwrites the whole Event, so a
 		// zero-struct store here would double the ring write traffic.
-		s.ring = s.ring[:n+1]
-		se := &s.ring[n]
-		se.seq = r.total
-		return &se.ev
+		r.ring = r.ring[:n+1]
+		return &r.ring[n]
 	}
-	se := &s.ring[s.next]
-	s.next++
-	if s.next == r.cap {
-		s.next = 0
+	ev := &r.ring[r.next]
+	if r.next++; r.next == r.cap {
+		r.next = 0
 	}
-	se.seq = r.total
-	return &se.ev
+	return ev
 }
 
 // OnTransmit implements medium.Tap.
@@ -417,7 +381,7 @@ func (r *Recorder) slot(sta mac.NodeID) *Event {
 // reused after wrap, and a skipped field would leak a stale value into
 // exports (TestShardWrapClearsStaleFields guards this).
 func (r *Recorder) OnTransmit(src mac.NodeID, f *mac.Frame, start, airtime sim.Time) {
-	ev := r.slot(src)
+	ev := r.slot()
 	ev.Kind = KindTransmit
 	ev.At = start
 	ev.Station = src
@@ -439,7 +403,7 @@ func (r *Recorder) OnTransmit(src mac.NodeID, f *mac.Frame, start, airtime sim.T
 	ev.Long = false
 	ev.OK = false
 	if r.sink != nil {
-		r.sink(*ev)
+		r.sink(ev)
 	}
 	if t := int(f.Type); t >= 1 && t < frameTypeSlots {
 		r.acc.txCount[t]++
@@ -477,7 +441,7 @@ func (r *Recorder) OnReceive(dst mac.NodeID, f *mac.Frame, info mac.RxInfo, at s
 		kind = KindCorrupt
 		r.acc.corrupted++
 	}
-	ev := r.slot(dst)
+	ev := r.slot()
 	ev.Kind = kind
 	ev.At = at
 	ev.Station = dst
@@ -499,7 +463,7 @@ func (r *Recorder) OnReceive(dst mac.NodeID, f *mac.Frame, info mac.RxInfo, at s
 	ev.Long = false
 	ev.OK = false
 	if r.sink != nil {
-		r.sink(*ev)
+		r.sink(ev)
 	}
 }
 
@@ -513,7 +477,7 @@ func (r *Recorder) OnMACEvent(pe *mac.ProbeEvent) {
 	if i := int(pe.Kind); i >= 0 && i < len(probeKindLUT) {
 		kind = probeKindLUT[i]
 	}
-	ev := r.slot(pe.Station)
+	ev := r.slot()
 	ev.Kind = kind
 	ev.At = pe.At
 	ev.Station = pe.Station
@@ -535,7 +499,7 @@ func (r *Recorder) OnMACEvent(pe *mac.ProbeEvent) {
 	ev.Long = pe.Long
 	ev.OK = pe.OK
 	if r.sink != nil {
-		r.sink(*ev)
+		r.sink(ev)
 	}
 }
 
@@ -571,55 +535,19 @@ func (r *Recorder) Stats() Stats {
 	return st
 }
 
-// mergedEvents materializes (and caches) the canonical retained view:
-// the newest cap events across every shard, in record order. Sequence
-// stamps are dense, so "newest cap" is exactly the events with
-// seq > total-cap, and each one has a known place: out[seq-lo-1]. One
-// newest-first walk per shard ring places its retained events and stops
-// at the first older one, so the merge is linear and reads only retained
-// slots.
-func (r *Recorder) mergedEvents() []Event {
-	if r.mergedAt == r.total {
-		return r.merged
-	}
-	var lo uint64 // retain seq > lo
-	if r.total > uint64(r.cap) {
-		lo = r.total - uint64(r.cap)
-	}
-	out := make([]Event, r.total-lo)
-	placed := 0
-	for si := range r.shards {
-		s := &r.shards[si]
-		i := s.next - 1 // newest slot; len-1 when the ring has not wrapped
-		if i < 0 {
-			i = len(s.ring) - 1
-		}
-		for range s.ring {
-			se := &s.ring[i]
-			if se.seq <= lo {
-				break
-			}
-			out[se.seq-lo-1] = se.ev
-			placed++
-			if i--; i < 0 {
-				i = len(s.ring) - 1
-			}
-		}
-	}
-	if placed != len(out) {
-		// The per-shard capacity argument in the Recorder doc failed: an
-		// event inside the window was evicted, and its slot would export
-		// as a silent zero event.
-		panic(fmt.Sprintf("trace: merged %d of %d retained events", placed, len(out)))
-	}
-	r.merged = out
-	r.mergedAt = r.total
-	return out
+// segments returns the retained events as the ring's two runs, oldest
+// first: older then newer. Before the ring wraps, newer is empty.
+func (r *Recorder) segments() (older, newer []Event) {
+	return r.ring[r.next:], r.ring[:r.next]
 }
 
-// Events returns the retained events, oldest first.
+// Events returns a copy of the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	return append([]Event(nil), r.mergedEvents()...)
+	if len(r.ring) == 0 {
+		return nil
+	}
+	older, newer := r.segments()
+	return append(append(make([]Event, 0, len(r.ring)), older...), newer...)
 }
 
 // Utilization reports transmit airtime as a fraction of elapsed time

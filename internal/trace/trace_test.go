@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"greedy80211/internal/mac"
+	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
 )
 
@@ -112,10 +113,10 @@ func TestNewRecorderDefaults(t *testing.T) {
 // discipline: ring slots are reused after wrap, and the recording sites
 // overwrite every Event field rather than storing a composite literal. A
 // site that skips a field would leak a stale value from the slot's
-// previous occupant into exports. The test dirties every slot of one
-// station's shard with events that set every field group nonzero, then
-// records a minimal event through each site and checks it is identical
-// to the same event recorded by a fresh recorder.
+// previous occupant into exports. The test dirties every ring slot with
+// events that set every field group nonzero, then records a minimal
+// event through each site and checks it is identical to the same event
+// recorded by a fresh recorder.
 func TestShardWrapClearsStaleFields(t *testing.T) {
 	const ringCap = 4
 	loud := &mac.ProbeEvent{
@@ -154,19 +155,19 @@ func TestShardWrapClearsStaleFields(t *testing.T) {
 	}
 }
 
-// TestShardedRetentionMatchesGlobalWindow checks the canonical-merge
-// property the per-station shards are built on: the merged export equals
-// exactly the newest-cap window of the global record stream, as a single
-// shared ring would have retained it. A seeded table drives random
-// station sequences (stations recording at very different rates,
-// negative ids folded into shard 0) through every recording site, with
-// totals below, at and far past the capacity.
+// TestShardedRetentionMatchesGlobalWindow checks the flight-recorder
+// contract: the ring's export equals exactly the newest-cap window of the
+// record stream. A seeded table drives random station sequences (stations
+// recording at very different rates, negative ids included) through every
+// recording site, with totals below, at and far past the capacity. The
+// ring is also read out at random points mid-stream, through both
+// Events() and the in-place walk behind Recordings(), and recording then
+// carries on: a read-out must neither disturb the ring nor depend on
+// where its wrap point lies.
 func TestShardedRetentionMatchesGlobalWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, ringCap := range []int{1, 2, 7, 64} {
 		for _, total := range []int{ringCap - 1, ringCap, ringCap + 1, 3*ringCap + 5, 40*ringCap + 3} {
-			// Few stations make long same-shard runs; many make each
-			// shard hold only a sliver of the window.
 			for _, nSta := range []int{1, 3, 20} {
 				name := fmt.Sprintf("cap%d/total%d/stations%d", ringCap, total, nSta)
 				t.Run(name, func(t *testing.T) {
@@ -178,13 +179,14 @@ func TestShardedRetentionMatchesGlobalWindow(t *testing.T) {
 }
 
 func checkRetention(t *testing.T, rng *rand.Rand, ringCap, total, nSta int) {
-	sharded := NewRecorder(ringCap)
+	ring := NewRecorder(ringCap)
 	reference := NewRecorder(total + 1) // never wraps: retains everything
+	readAt := rand.New(rand.NewSource(int64(ringCap*1000 + total)))
 	for n := 1; n <= total; n++ {
 		sta := mac.NodeID(rng.Intn(nSta+2) - 2) // ids -2..nSta-1
 		at := sim.Time(n) * sim.Microsecond
 		f := &mac.Frame{Type: mac.FrameData, Src: sta, Dst: 2, Seq: uint16(n)}
-		for _, r := range []*Recorder{sharded, reference} {
+		for _, r := range []*Recorder{ring, reference} {
 			switch n % 3 {
 			case 0:
 				r.OnTransmit(sta, f, at, sim.Microsecond)
@@ -195,35 +197,102 @@ func checkRetention(t *testing.T, rng *rand.Rand, ringCap, total, nSta int) {
 					CW: 31, Slots: n})
 			}
 		}
-	}
-	want := reference.Events()
-	if len(want) > ringCap {
-		want = want[len(want)-ringCap:]
-	}
-	got := sharded.Events()
-	if len(got) != len(want) {
-		t.Fatalf("retained %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		if readAt.Intn(ringCap+2) == 0 {
+			checkReadOut(t, ring, reference, ringCap)
 		}
 	}
+	checkReadOut(t, ring, reference, ringCap)
 	wantDropped := uint64(0)
 	if total > ringCap {
 		wantDropped = uint64(total - ringCap)
 	}
-	if d := sharded.Dropped(); d != wantDropped {
+	if d := ring.Dropped(); d != wantDropped {
 		t.Errorf("Dropped() = %d, want %d", d, wantDropped)
 	}
 }
 
-// BenchmarkCollectorRecordings measures the canonical read-out: merging
-// each recorder's shard rings into record order and sorting recordings
-// that share a seed by content. Each seed has four 20-station streams
-// that wrap their rings three times over; two are identical (a full-depth
-// tie) and two share a prefix with them and diverge inside the retained
-// window.
+// checkReadOut compares the ring's retained window with the newest
+// ringCap events of the never-wrapping reference, through Events() and
+// through the stream compare that orders Recordings().
+func checkReadOut(t *testing.T, ring, reference *Recorder, ringCap int) {
+	t.Helper()
+	want := reference.Events()
+	if len(want) > ringCap {
+		want = want[len(want)-ringCap:]
+	}
+	got := ring.Events()
+	if len(got) != len(want) {
+		t.Fatalf("after %d events: retained %d events, want %d", ring.Total(), len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("after %d events: event %d = %+v, want %+v", ring.Total(), i, got[i], want[i])
+		}
+	}
+	// The same window laid out unwrapped must tie with the ring from
+	// either side, so the stable sort keeps Start order; a window whose
+	// newest event is later must sort after it.
+	flat := &Recorder{cap: ringCap, ring: want}
+	c := &Collector{recs: []*Recording{{Seed: 1, Recorder: ring}, {Seed: 1, Recorder: flat}}}
+	if recs := c.Recordings(); recs[0].Recorder != ring || recs[1].Recorder != flat {
+		t.Fatalf("after %d events: identical streams reordered", ring.Total())
+	}
+	if a, b := compareStreams(ring, flat), compareStreams(flat, ring); a != 0 || b != 0 {
+		t.Fatalf("after %d events: identical streams compare %d / %d", ring.Total(), a, b)
+	}
+	if len(want) > 0 {
+		later := append([]Event(nil), want...)
+		later[len(later)-1].At++
+		if c := compareStreams(ring, &Recorder{ring: later}); c >= 0 {
+			t.Fatalf("after %d events: stream with a later last event compares %d, want < 0", ring.Total(), c)
+		}
+	}
+}
+
+// TestFullRingRecordsWithoutAllocs: once the ring is full and the
+// checker has seen every station, recording through all three sites into
+// a Checker sink allocates nothing per event. Each round is a compliant
+// DATA/ACK exchange, so both SIFS and contention checks run and pass.
+func TestFullRingRecordsWithoutAllocs(t *testing.T) {
+	const ringCap = 64
+	c := NewCollector(ringCap)
+	c.EnableChecks()
+	r := c.Start(1)
+	r.SetParams(phys.Params80211B())
+	sifs := r.Timing().SIFS
+	data := txFrame(1)
+	ack := &mac.Frame{Type: mac.FrameACK, Src: 2, Dst: 1, MACBytes: 14}
+	contend := &mac.ProbeEvent{Kind: mac.ProbeTxContend, Station: 1, Frame: mac.FrameData, Dst: 2}
+	respond := &mac.ProbeEvent{Kind: mac.ProbeTxRespond, Station: 2, Frame: mac.FrameACK, Dst: 1}
+	var at sim.Time
+	exchange := func() {
+		at += 2 * sim.Millisecond
+		dataEnd := at + 958*sim.Microsecond
+		contend.At = at
+		r.OnMACEvent(contend)
+		r.OnTransmit(1, data, at, 958*sim.Microsecond)
+		r.OnReceive(2, data, mac.RxInfo{Decoded: true, RSSIDBm: -50}, dataEnd)
+		respond.At = dataEnd + sifs
+		r.OnMACEvent(respond)
+		r.OnTransmit(2, ack, dataEnd+sifs, 304*sim.Microsecond)
+		r.OnReceive(1, ack, mac.RxInfo{Decoded: true, RSSIDBm: -50}, dataEnd+sifs+304*sim.Microsecond)
+	}
+	for range ringCap {
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+		t.Errorf("full-ring recording allocates %.1f times per 6-event exchange, want 0", allocs)
+	}
+	if n := c.ViolationCount(); n != 0 {
+		t.Errorf("violations = %d, want 0: %v", n, Violations(c.Recordings()))
+	}
+}
+
+// BenchmarkCollectorRecordings measures the canonical read-out: sorting
+// recordings that share a seed by walking their rings in place. Each
+// seed has four 20-station streams that wrap their rings three times
+// over; two are identical (a full-depth tie) and two share a prefix with
+// them and diverge inside the retained window.
 func BenchmarkCollectorRecordings(b *testing.B) {
 	const (
 		ringCap  = 4096
@@ -239,11 +308,6 @@ func BenchmarkCollectorRecordings(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Drop the cached merges so every iteration pays the read-out a
-		// fresh collector pays.
-		for _, r := range c.recs {
-			r.Recorder.mergedAt = ^uint64(0)
-		}
 		if len(c.Recordings()) != 16 {
 			b.Fatal("lost a recording")
 		}
@@ -273,21 +337,4 @@ func recordStream(rec *Recorder, seed int64, divergeAt, total, stations int) {
 				CW: 31, Slots: rng.Intn(32)})
 		}
 	}
-}
-
-// TestMergePanicsOnLostEvent: if a shard ever lost an event inside the
-// retained window, the merge must fail loudly instead of exporting a
-// zero event in its place.
-func TestMergePanicsOnLostEvent(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 6; i++ {
-		r.OnTransmit(mac.NodeID(i%2), txFrame(uint16(i)), sim.Time(i)*sim.Millisecond, sim.Microsecond)
-	}
-	r.shards[1].ring[1].seq = 0 // station 1 holds seqs 2, 4, 6: lose seq 4
-	defer func() {
-		if recover() == nil {
-			t.Error("merge with a lost event did not panic")
-		}
-	}()
-	r.Events()
 }
