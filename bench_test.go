@@ -134,9 +134,37 @@ func TestSimulatorAllocBudget(t *testing.T) {
 	t.Logf("allocs/op = %.0f (budget %d)", avg, budget)
 }
 
+// untracedAllocsBaseline is the allocs/op of BenchmarkSimulatorThroughput
+// with tracing disabled, measured without the race detector on go1.24.
+const untracedAllocsBaseline = 252
+
+// TestDisabledTracingAddsNoAllocs is the zero-cost-when-disabled guard:
+// the untraced simulator workload must not allocate more per op than
+// untracedAllocsBaseline (+1% slack for Go-version noise). The MAC probe
+// sites and the medium tap hook are on this path, so any probe-related
+// allocation that leaks into the disabled case shows up here. The
+// baseline is a non-race measurement, and race instrumentation allocates
+// on its own, so the guard runs only in non-race builds (CI runs it in a
+// step of its own).
+func TestDisabledTracingAddsNoAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed guard")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the baseline is a non-race measurement")
+	}
+	got := testing.Benchmark(BenchmarkSimulatorThroughput).AllocsPerOp()
+	limit := int64(untracedAllocsBaseline + untracedAllocsBaseline/100)
+	if got > limit {
+		t.Errorf("untraced simulator allocs/op = %d, baseline %d (+1%% = %d): "+
+			"disabled tracing is no longer free", got, untracedAllocsBaseline, limit)
+	}
+	t.Logf("untraced allocs/op = %d (baseline %d)", got, untracedAllocsBaseline)
+}
+
 // TestDenseWorldAllocBudget is the allocation-budget gate on the
 // multi-BSS fan-out path: a 4×4 grid of BSSs (336 radios, 320 flows,
-// the bench suite's dense_world reference case) run for one simulated
+// the grid scenario.TestDenseWorldIdentityGolden pins) run for one simulated
 // second must stay within budget. Neighbor tables are built once per
 // topology generation and arrivals ride the pooled arena, so
 // steady-state delivery allocates nothing; the budget covers world

@@ -46,7 +46,6 @@ func run(args []string) int {
 		strict       = fs.Bool("strict", false, "drift verdicts gate too")
 		analyticGate = fs.Bool("analytic-gate", false,
 			"fail when any model-banded check has a missing analytic prediction (model drift/fail stay advisory)")
-		bench       = fs.String("bench", ".", "directory holding BENCH_*.json for the footer (empty to omit)")
 		docsPath    = fs.String("docs", "EXPERIMENTS.md", "document carrying the artifact↔paper map block")
 		checkDoc    = fs.Bool("check-docs", false, "verify the map block in -docs is current, then exit")
 		writeDoc    = fs.Bool("write-docs", false, "regenerate the map block in -docs in place, then exit")
@@ -62,6 +61,10 @@ func run(args []string) int {
 	}
 	if versionflag.Handle(version, os.Stdout, "report") {
 		return 0
+	}
+	if *noComp && *store == "" {
+		fmt.Fprintln(os.Stderr, "report: -no-compute requires -store (without a store every artifact would be simulated)")
+		return 2
 	}
 	runner.SetLimit(*parallel)
 	stopProf, err := prof.Start()
@@ -96,16 +99,8 @@ func run(args []string) int {
 		return 1
 	}
 
-	var benchSnap *report.BenchSnapshot
-	if *bench != "" {
-		benchSnap, err = report.LatestBenchSnapshot(*bench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			return 1
-		}
-	}
 	var md strings.Builder
-	report.RenderMarkdown(&md, rep, benchSnap)
+	report.RenderMarkdown(&md, rep, nil)
 	if *out == "-" {
 		fmt.Print(md.String())
 	} else if err := os.WriteFile(*out, []byte(md.String()), 0o644); err != nil {

@@ -53,7 +53,7 @@ func TestRunGatePassesAndWritesOutputs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "RESULTS.md")
 	verdicts := filepath.Join(t.TempDir(), "verdicts.json")
 	code := runCLI(t, "-refdata", writeDir(t, quickBody),
-		"-out", out, "-verdicts", verdicts, "-bench", "")
+		"-out", out, "-verdicts", verdicts)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
@@ -66,7 +66,7 @@ func TestRunGatePassesAndWritesOutputs(t *testing.T) {
 
 func TestRunGateFailsOnTamperedRefdata(t *testing.T) {
 	code := runCLI(t, "-refdata", writeDir(t, tamperedBody),
-		"-out", filepath.Join(t.TempDir(), "RESULTS.md"), "-verdicts", "", "-bench", "")
+		"-out", filepath.Join(t.TempDir(), "RESULTS.md"), "-verdicts", "")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (tampered golden value must trip the gate)", code)
 	}
@@ -75,9 +75,21 @@ func TestRunGateFailsOnTamperedRefdata(t *testing.T) {
 func TestRunGateFailsOnColdStoreNoCompute(t *testing.T) {
 	code := runCLI(t, "-refdata", writeDir(t, quickBody),
 		"-store", t.TempDir(), "-no-compute",
-		"-out", filepath.Join(t.TempDir(), "RESULTS.md"), "-verdicts", "", "-bench", "")
+		"-out", filepath.Join(t.TempDir(), "RESULTS.md"), "-verdicts", "")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (cold store in read-only mode gates as missing)", code)
+	}
+}
+
+func TestRunRejectsNoComputeWithoutStore(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "RESULTS.md")
+	code := runCLI(t, "-refdata", writeDir(t, quickBody), "-no-compute",
+		"-out", out, "-verdicts", "")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (-no-compute promises no simulation, and without -store there is nothing to read)", code)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("report written despite the rejected flag combination")
 	}
 }
 

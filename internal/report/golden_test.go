@@ -47,15 +47,10 @@ func TestRenderMarkdownGolden(t *testing.T) {
 	// The fingerprint under `go test` is stable ("devel"), but pin it
 	// anyway so the golden file can never depend on build stamping.
 	rep.Module = "greedy80211@devel"
-	bench := &BenchSnapshot{File: "BENCH_2026-01-01.json", GoVersion: "go1.24.0"}
-	bench.Simulator.EventsPerSec = 5.0e6
-	bench.Simulator.BytesPerOp = 1048576
-	bench.Artifacts.Speedup = 1.5
-	bench.Artifacts.ParallelLimit = 4
 
 	var a, b strings.Builder
-	RenderMarkdown(&a, rep, bench)
-	RenderMarkdown(&b, rep, bench)
+	RenderMarkdown(&a, rep, nil)
+	RenderMarkdown(&b, rep, nil)
 	if a.String() != b.String() {
 		t.Fatal("two renders of the same report differ")
 	}

@@ -13,8 +13,9 @@ import (
 // RenderMarkdown writes the full RESULTS.md document. Byte stability is
 // the contract: the output is a pure function of the Report (itself a
 // pure function of code + refdata), so the committed file regenerates
-// identically and CI can diff it.
-func RenderMarkdown(w *strings.Builder, rep *Report, bench *BenchSnapshot) {
+// identically and CI can diff it. The third parameter is ignored; it is
+// kept only so perfbench's existing three-argument call still compiles.
+func RenderMarkdown(w *strings.Builder, rep *Report, _ any) {
 	fmt.Fprintf(w, "# Reproduction report\n\n")
 	fmt.Fprintf(w, "Golden-value gate for \"Greedy Receivers in IEEE 802.11 Hotspots\" (DSN'07):\n")
 	fmt.Fprintf(w, "each gated artifact is regenerated at a pinned profile and its\n")
@@ -26,7 +27,7 @@ func RenderMarkdown(w *strings.Builder, rep *Report, bench *BenchSnapshot) {
 	for _, ar := range rep.Artifacts {
 		renderArtifact(w, ar)
 	}
-	renderFooter(w, rep, bench)
+	renderFooter(w, rep)
 }
 
 func renderSummary(w *strings.Builder, rep *Report) {
@@ -165,7 +166,7 @@ func checkWhere(c Check) string {
 	}
 }
 
-func renderFooter(w *strings.Builder, rep *Report, bench *BenchSnapshot) {
+func renderFooter(w *strings.Builder, rep *Report) {
 	fmt.Fprintf(w, "---\n\n")
 	fmt.Fprintf(w, "*Module:* `%s` · *profile:* seeds=%d, duration=%s",
 		rep.Module, rep.Config.Seeds, rep.Config.Duration)
@@ -173,11 +174,6 @@ func renderFooter(w *strings.Builder, rep *Report, bench *BenchSnapshot) {
 		fmt.Fprintf(w, ", quick")
 	}
 	w.WriteByte('\n')
-	if bench != nil {
-		fmt.Fprintf(w, "\n*Bench snapshot* (`%s`, %s): simulator %s events/s, %d B/op; campaign speedup ×%s at parallel limit %d.\n",
-			bench.File, bench.GoVersion, fmtNum(bench.Simulator.EventsPerSec),
-			bench.Simulator.BytesPerOp, fmtNum(bench.Artifacts.Speedup), bench.Artifacts.ParallelLimit)
-	}
 	fmt.Fprintf(w, "\n*Regenerate:* `go run ./cmd/report -store .report-store` — byte-identical\n")
 	fmt.Fprintf(w, "on a warm store; see [EXPERIMENTS.md](EXPERIMENTS.md) for the artifact↔paper map.\n")
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -10,63 +12,66 @@ import (
 	"greedy80211/internal/trace"
 )
 
-// Pooling is a pure allocation strategy: a pooled world and an unpooled
-// (DisablePooling) world built from the same config must be
-// indistinguishable in every output — flow goodputs, telemetry, and the
-// full flight-recorder stream byte for byte. This is the regression
-// gate for the hot-path arenas: any pooling bug that perturbs RNG
-// draws, event ordering, or frame/packet contents shows up here.
+// TestPoolingByteIdentity pins the full output of two pooled worlds —
+// the flight-recorder stream byte for byte, flow goodputs and telemetry —
+// to SHA-256 digests recorded when an unpooled build path still existed
+// and was proven to produce the same bytes. Pooling is a pure allocation
+// strategy, so any pooling bug that perturbs RNG draws, event ordering,
+// or frame/packet contents shows up here as a digest change. It is also
+// the only golden over a TCP world's trace. Pool misuse (double put,
+// use after put) is caught separately by the pooldebug build.
 func TestPoolingByteIdentity(t *testing.T) {
-	type worldCase struct {
-		name  string
-		build func(cfg Config) (*World, error)
-	}
-	cases := []worldCase{
+	cases := []struct {
+		name       string
+		build      func(cfg Config) (*World, error)
+		trace, out string // hex SHA-256 of the trace JSONL and of flows+metrics
+	}{
 		{"udp-rtscts", func(cfg Config) (*World, error) {
 			cfg.UseRTSCTS = true
 			return BuildPairs(PairsConfig{Config: cfg, N: 2, Transport: UDP})
-		}},
+		},
+			"f4b56f85bff0c64107b189352ba6e9f7210a833ed3894c4eeeeb6bf1ea82d3e4",
+			"aae23c1a3387d79ed811fbe845da143c83e6ab4c1cb32f58c7cdc0d4c41119ee"},
 		{"tcp", func(cfg Config) (*World, error) {
 			return BuildPairs(PairsConfig{Config: cfg, N: 2, Transport: TCP})
-		}},
+		},
+			"bdb6b14723f35362be660060471c06259557b78ac63940ac755ba141120aa02d",
+			"99bfd70e07eb33cfdd0185dd81644c76e6fada9c3af3fb0e84055cc4458f421a"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(disable bool) ([]byte, string) {
-				cfg := Config{Seed: 5, DisablePooling: disable}
-				w, err := tc.build(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := trace.NewRecorder(0)
-				w.AttachTrace(rec, rec)
-				w.Run(2 * sim.Second)
-				var buf bytes.Buffer
-				if err := trace.WriteJSONL(&buf, rec.Meta("id", 5), rec.Events()); err != nil {
-					t.Fatal(err)
-				}
-				var rest bytes.Buffer
-				for _, fl := range w.Flows() {
-					fmt.Fprintf(&rest, "%d:%.9f\n", fl.ID, fl.GoodputMbps(2*sim.Second))
-				}
-				if err := metrics.EncodeSnapshots(&rest, []*metrics.Snapshot{w.MetricsSnapshot()}); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes(), rest.String()
+			w, err := tc.build(Config{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
 			}
-			pooledTrace, pooledRest := run(false)
-			plainTrace, plainRest := run(true)
-			if !bytes.Equal(pooledTrace, plainTrace) {
-				t.Errorf("trace exports differ: pooled %d bytes, unpooled %d bytes",
-					len(pooledTrace), len(plainTrace))
+			rec := trace.NewRecorder(0)
+			w.AttachTrace(rec, rec)
+			w.Run(2 * sim.Second)
+			var tr bytes.Buffer
+			if err := trace.WriteJSONL(&tr, rec.Meta("id", 5), rec.Events()); err != nil {
+				t.Fatal(err)
 			}
-			if len(pooledTrace) == 0 {
-				t.Error("empty trace export")
+			if tr.Len() == 0 {
+				t.Fatal("empty trace export")
 			}
-			if pooledRest != plainRest {
-				t.Errorf("flows/metrics differ:\n--- pooled ---\n%s\n--- unpooled ---\n%s",
-					pooledRest, plainRest)
+			var out bytes.Buffer
+			for _, fl := range w.Flows() {
+				fmt.Fprintf(&out, "%d:%.9f\n", fl.ID, fl.GoodputMbps(2*sim.Second))
+			}
+			if err := metrics.EncodeSnapshots(&out, []*metrics.Snapshot{w.MetricsSnapshot()}); err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(tr.Bytes()); got != tc.trace {
+				t.Errorf("trace export (%d bytes) sha256 = %s, want %s", tr.Len(), got, tc.trace)
+			}
+			if got := digest(out.Bytes()); got != tc.out {
+				t.Errorf("flows/metrics sha256 = %s, want %s\n%s", got, tc.out, out.String())
 			}
 		})
 	}
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -21,8 +21,7 @@ type PoolStats struct {
 	Events   pool.Stats `json:"events"`
 }
 
-// PoolStats reports the world's current pool occupancy. The frame and
-// packet entries are zero when the world was built with DisablePooling.
+// PoolStats reports the world's current pool occupancy.
 func (w *World) PoolStats() PoolStats {
 	return PoolStats{
 		Frames:   w.frames.Stats(),

@@ -69,12 +69,6 @@ type Config struct {
 	// (RTS/CTS/ACK); zero keeps the default (1 Mbps on 802.11b). The
 	// control-rate ablation uses it.
 	ControlRateBps int64
-	// DisablePooling turns off the world's frame and packet pools, so
-	// every frame/packet is heap-allocated as in the pre-pooling
-	// simulator. Outputs are identical either way (the byte-identity
-	// regression tests assert it); the switch exists for those tests and
-	// for pooled-vs-unpooled benchmark comparisons.
-	DisablePooling bool
 	// FlowStagger separates successive flow start times in Run; zero
 	// keeps the historical 1 ms. At paper scale (a handful of flows)
 	// 1 ms just decides who grabs the channel first, but a 1000-flow
@@ -223,10 +217,8 @@ func NewWorld(cfg Config) (*World, error) {
 		flows:    make(map[int]*Flow),
 		wired:    make(map[string]wiredAttachment),
 		metrics:  reg,
-	}
-	if !cfg.DisablePooling {
-		w.frames = mac.NewFramePool()
-		w.packets = transport.NewPacketPool()
+		frames:   mac.NewFramePool(),
+		packets:  transport.NewPacketPool(),
 	}
 	return w, nil
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package main
+package main_test
 
 // raceEnabled reports whether the test binary carries race-detector
 // instrumentation, which adds allocations of its own.
