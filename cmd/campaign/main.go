@@ -72,7 +72,7 @@ subcommands:
   verify  check every store entry's checksums and decodability
   submit  register a spec with a campaignd server and print its id
   worker  pull unit leases from a campaignd server and compute them
-  spans   render the store's progress-span log as Chrome trace JSON (Perfetto)
+  spans   render the store's lifecycle journal as Chrome trace JSON (Perfetto)
 
 run "campaign <subcommand> -h" for flags`)
 }
@@ -579,7 +579,7 @@ func cmdSpans(args []string) int {
 	if !ok {
 		return 1
 	}
-	spans, err := campaign.ReadSpans(store.SpanPath())
+	spans, err := campaign.ReadSpans(store.JournalPath())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign spans: %v\n", err)
 		return 1

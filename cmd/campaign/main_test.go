@@ -219,9 +219,9 @@ func TestSubmitAndWorkerAgainstServer(t *testing.T) {
 		t.Errorf("status -follow shows no worker fleet:\n%s", out)
 	}
 
-	// The span log the server wrote beside the journal renders as a
-	// Chrome trace (Perfetto-loadable): one JSON object with traceEvents
-	// carrying the unit lifecycle, on the worker's named track.
+	// The lifecycle journal the server wrote renders as a Chrome trace
+	// (Perfetto-loadable): one JSON object with traceEvents carrying the
+	// unit lifecycle, on the worker's named track.
 	traceFile := filepath.Join(dir, "spans.json")
 	if got := run([]string{"spans", "-store", storeDir, "-out", traceFile}); got != 0 {
 		t.Fatalf("spans exited %d", got)

@@ -17,7 +17,7 @@
 // main address.
 //
 // The server owns the store's write-ahead journal while running: lease
-// grants journal "start", commits journal "done", so `campaign status`
+// grants journal "start", commits journal "commit", so `campaign status`
 // against the same store shows in-flight units even while they are being
 // computed on other machines. SIGINT/SIGTERM drains gracefully — /readyz
 // flips to 503, the listener stays open for -drain-delay, then closes,

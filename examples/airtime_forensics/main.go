@@ -11,39 +11,18 @@ import (
 	"log"
 
 	"greedy80211/internal/detect"
-	"greedy80211/internal/mac"
-	"greedy80211/internal/medium"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
 	"greedy80211/internal/trace"
 )
 
-// fanoutTap duplicates channel events to several taps.
-type fanoutTap []medium.Tap
-
-func (f fanoutTap) OnTransmit(src mac.NodeID, fr *mac.Frame, start, airtime sim.Time) {
-	for _, t := range f {
-		t.OnTransmit(src, fr, start, airtime)
-	}
-}
-
-func (f fanoutTap) OnReceive(dst mac.NodeID, fr *mac.Frame, info mac.RxInfo, at sim.Time) {
-	for _, t := range f {
-		t.OnReceive(dst, fr, info, at)
-	}
-}
-
 func main() {
 	rec := trace.NewRecorder(24)
 	dom := detect.NewDomino(phys.Params80211B(), 0.5, 20)
 
 	w, err := scenario.BuildPairs(scenario.PairsConfig{
-		Config: scenario.Config{
-			Seed:      7,
-			UseRTSCTS: true,
-			Trace:     fanoutTap{rec, dom},
-		},
+		Config:    scenario.Config{Seed: 7, UseRTSCTS: true},
 		N:         2,
 		Transport: scenario.UDP,
 		// R2 inflates the NAV of its CTS and ACK frames by 10 ms (the
@@ -53,6 +32,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("airtime_forensics: %v", err)
 	}
+	w.Medium.AddTap(rec)
+	w.Medium.AddTap(dom)
 	const d = 4 * sim.Second
 	w.Run(d)
 

@@ -85,13 +85,14 @@ type Report struct {
 }
 
 // Run executes the campaign: expand the spec, skip every unit already in
-// the store, compute the misses of this shard in parallel (journaling
-// start/done around each store commit), and — when the whole work-list
-// is present and nothing failed — assemble the final outputs. Unit
-// failures do not abort the rest of the campaign; they are collected in
-// the report. A cancelled ctx stops launching new units, finishes the
-// ones in flight, and returns the partial report with err == ctx.Err():
-// re-running the same command later resumes from the store.
+// the store, compute the misses of this shard in parallel (journaling a
+// start before each unit and a commit after its store commit), and —
+// when the whole work-list is present and nothing failed — assemble the
+// final outputs. Unit failures do not abort the rest of the campaign;
+// they are collected in the report. A cancelled ctx stops launching new
+// units, finishes the ones in flight, and returns the partial report
+// with err == ctx.Err(): re-running the same command later resumes from
+// the store.
 func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 	if opt.Shards > 1 && (opt.Shard < 0 || opt.Shard >= opt.Shards) {
 		return nil, fmt.Errorf("campaign: shard %d out of range 0..%d", opt.Shard, opt.Shards-1)
@@ -117,18 +118,11 @@ func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 		return nil, err
 	}
 	defer journal.Close()
-	// The span log rides beside the journal: phase timings for every unit
-	// this process touches, renderable later by `campaign spans`. Span
-	// loss is never worth failing a run, so append errors are ignored;
-	// OpenSpanLog on an unjournaled store ("" path) yields a no-op log.
-	spans, err := OpenSpanLog(store.SpanPath())
-	if err != nil {
+	if err := journal.Append(Span{Unit: "expand", Phase: "expand",
+		StartUnixNs: expandStart.UnixNano(), EndUnixNs: expandEnd.UnixNano(),
+		Note: fmt.Sprintf("%d units", len(units))}); err != nil {
 		return nil, err
 	}
-	defer spans.Close()
-	spans.Append(Span{Unit: "expand", Phase: "expand",
-		StartUnixNs: expandStart.UnixNano(), EndUnixNs: expandEnd.UnixNano(),
-		Note: fmt.Sprintf("%d units", len(units))})
 
 	mine := units
 	if opt.Shards > 1 {
@@ -171,31 +165,28 @@ func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 			prev, prevResult, perr := FindPrevious(store, u)
 			if perr == nil && prev.Key != "" {
 				if ok, why := opt.Screen(u, prev, prevResult); ok {
-					sr := Record{Op: "screened", Key: u.Key, Artifact: u.Artifact,
-						BaseSeed: u.BaseSeed, Prev: prev.Key, Note: why}
-					if err := journal.Append(sr); err != nil {
+					now := time.Now()
+					sp := u.Span("screened", now, now)
+					sp.Prev, sp.Note = prev.Key, why
+					if err := journal.Append(sp); err != nil {
 						record(i, OutcomeFailed, err)
 						return nil
 					}
-					now := time.Now().UnixNano()
-					spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact,
-						Phase: "screened", StartUnixNs: now, EndUnixNs: now, Note: why})
 					record(i, OutcomeScreened, nil)
 					return nil
 				}
 			}
 		}
-		jr := Record{Key: u.Key, Artifact: u.Artifact, BaseSeed: u.BaseSeed}
-		jr.Op = "start"
-		if err := journal.Append(jr); err != nil {
+		computeStart := time.Now()
+		if err := journal.Append(u.Span("start", computeStart, computeStart)); err != nil {
 			record(i, OutcomeFailed, err)
 			return nil
 		}
-		computeStart := time.Now()
 		result, metricsJSON, err := ComputeUnit(u)
 		computeEnd := time.Now()
-		spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact, Phase: "compute",
-			StartUnixNs: computeStart.UnixNano(), EndUnixNs: computeEnd.UnixNano()})
+		if jerr := journal.Append(u.Span("compute", computeStart, computeEnd)); err == nil {
+			err = jerr
+		}
 		if err != nil {
 			record(i, OutcomeFailed, fmt.Errorf("%s: %w", u.Name(), err))
 			return nil
@@ -213,13 +204,10 @@ func Run(ctx context.Context, spec *Spec, opt Options) (*Report, error) {
 			record(i, OutcomeFailed, err)
 			return nil
 		}
-		jr.Op = "done"
-		if err := journal.Append(jr); err != nil {
+		if err := journal.Append(u.Span("commit", computeEnd, time.Now())); err != nil {
 			record(i, OutcomeFailed, err)
 			return nil
 		}
-		spans.Append(Span{Unit: u.Name(), Key: u.Key, Artifact: u.Artifact, Phase: "commit",
-			StartUnixNs: computeEnd.UnixNano(), EndUnixNs: time.Now().UnixNano()})
 		record(i, OutcomeComputed, nil)
 		return nil
 	})

@@ -156,14 +156,14 @@ func TestRunScreened(t *testing.T) {
 	}
 
 	// The journal records the disposition and status surfaces it.
-	recs, err := ReadJournal(store.JournalPath())
+	spans, err := ReadSpans(store.JournalPath())
 	if err != nil {
-		t.Fatalf("ReadJournal: %v", err)
+		t.Fatalf("ReadSpans: %v", err)
 	}
-	var screened *Record
-	for i := range recs {
-		if recs[i].Op == "screened" && recs[i].Key == u.Key {
-			screened = &recs[i]
+	var screened *Span
+	for i := range spans {
+		if spans[i].Phase == "screened" && spans[i].Key == u.Key {
+			screened = &spans[i]
 		}
 	}
 	if screened == nil {

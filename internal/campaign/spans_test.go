@@ -27,7 +27,7 @@ func TestRunWritesLifecycleSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, err := ReadSpans(store.SpanPath())
+	spans, err := ReadSpans(store.JournalPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRunWritesLifecycleSpans(t *testing.T) {
 	}
 
 	mustRun(t, spec, Options{StoreDir: dir})
-	spans2, err := ReadSpans(store.SpanPath())
+	spans2, err := ReadSpans(store.JournalPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,26 +60,27 @@ func TestRunWritesLifecycleSpans(t *testing.T) {
 	}
 }
 
-// The span log is advisory: torn trailing lines and foreign garbage are
-// skipped, and a store without a journal records nothing at all.
+// The journal is tolerant: torn trailing lines, foreign garbage and
+// phase-less lines are skipped, and a store without a journal records
+// nothing at all.
 func TestReadSpansTolerance(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "spans.jsonl")
-	log, err := OpenSpanLog(path)
+	path := filepath.Join(dir, "journal.jsonl")
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(Span{Unit: "u1", Phase: "compute", StartUnixNs: 10, EndUnixNs: 5}); err != nil {
+	if err := j.Append(Span{Unit: "u1", Phase: "compute", StartUnixNs: 10, EndUnixNs: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString("not json at all\n{\"unit\":\"torn\",\"phase\":\"comp")
+	f.WriteString("not json at all\n{\"unit\":\"nophase\"}\n{\"unit\":\"torn\",\"phase\":\"comp")
 	f.Close()
 
 	spans, err := ReadSpans(path)
@@ -100,7 +101,7 @@ func TestReadSpansTolerance(t *testing.T) {
 		t.Errorf("no-op path: %v, %v", got, err)
 	}
 
-	noop, err := OpenSpanLog("")
+	noop, err := OpenJournal("")
 	if err != nil {
 		t.Fatal(err)
 	}

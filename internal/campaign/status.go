@@ -9,7 +9,7 @@ import (
 type UnitStatus struct {
 	Unit Unit
 	// Done: committed in the store. InFlight: the journal shows a start
-	// with no matching done and no store entry — the unit was being
+	// with no later commit and no store entry — the unit was being
 	// computed when a previous run died. Screened: the journal's latest
 	// word on the unit is a model-screening disposition and the store
 	// still has no entry.
@@ -117,21 +117,21 @@ func Status(spec *Spec, store *Store) ([]UnitStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := ReadJournal(store.JournalPath())
+	spans, err := ReadSpans(store.JournalPath())
 	if err != nil {
 		return nil, err
 	}
 	started := make(map[string]bool)
 	screened := make(map[string]bool)
-	for _, r := range recs {
-		switch r.Op {
+	for _, sp := range spans {
+		switch sp.Phase {
 		case "start":
-			started[r.Key] = true
-			delete(screened, r.Key)
-		case "done":
-			delete(started, r.Key)
+			started[sp.Key] = true
+			delete(screened, sp.Key)
+		case "commit":
+			delete(started, sp.Key)
 		case "screened":
-			screened[r.Key] = true
+			screened[sp.Key] = true
 		}
 	}
 	out := make([]UnitStatus, len(units))

@@ -91,6 +91,11 @@ func (s *Store) Root() string { return s.root }
 // journaling is disabled).
 func (s *Store) JournalPath() string { return s.journalPath }
 
+// SpanPath returns JournalPath: spans live in the journal. It is kept
+// only for perfbench/campaign.go, a separate module built against this
+// tree; every other caller uses JournalPath.
+func (s *Store) SpanPath() string { return s.journalPath }
+
 func entryPrefix(key string) string {
 	return "objects/" + key[:2] + "/" + key + "/"
 }

@@ -2,10 +2,12 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // putTestEntry commits a minimal well-formed entry and returns its key.
@@ -87,10 +89,10 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []Record{
-		{Op: "start", Key: "k1", Artifact: "fig1"},
-		{Op: "done", Key: "k1", Artifact: "fig1"},
-		{Op: "start", Key: "k2", Artifact: "fig2", BaseSeed: 7},
+	recs := []Span{
+		{Unit: "fig1", Phase: "start", Key: "k1", Artifact: "fig1", StartUnixNs: 1, EndUnixNs: 1},
+		{Unit: "fig1", Phase: "commit", Key: "k1", Artifact: "fig1", StartUnixNs: 2, EndUnixNs: 3},
+		{Unit: "fig2_seed7", Phase: "start", Key: "k2", Artifact: "fig2", StartUnixNs: 4, EndUnixNs: 4},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -108,16 +110,16 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(path)
+	got, err := ReadSpans(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
-		t.Errorf("ReadJournal after torn tail = %+v, want first two records", got)
+		t.Errorf("ReadSpans after torn tail = %+v, want first two records", got)
 	}
 
 	// A missing journal is an empty one.
-	if recs, err := ReadJournal(filepath.Join(t.TempDir(), "none.jsonl")); err != nil || recs != nil {
+	if recs, err := ReadSpans(filepath.Join(t.TempDir(), "none.jsonl")); err != nil || recs != nil {
 		t.Errorf("missing journal: %v, %v", recs, err)
 	}
 }
@@ -179,10 +181,11 @@ func TestStatusReportsDoneAndInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Record{
-		{Op: "start", Key: units[0].Key, Artifact: units[0].Artifact},
-		{Op: "done", Key: units[0].Key, Artifact: units[0].Artifact},
-		{Op: "start", Key: units[1].Key, Artifact: units[1].Artifact},
+	now := time.Now()
+	for _, r := range []Span{
+		units[0].Span("start", now, now),
+		units[0].Span("commit", now, now),
+		units[1].Span("start", now, now),
 	} {
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
@@ -202,5 +205,43 @@ func TestStatusReportsDoneAndInFlight(t *testing.T) {
 	}
 	if st[1].Done || !st[1].InFlight {
 		t.Errorf("unit 1 status = %+v, want in-flight", st[1])
+	}
+}
+
+// A journal written before the lifecycle spans holds {"op":…} records
+// with no phase. It reads as an empty history: Status takes done units
+// from the store and reports the rest pending — even a unit the old
+// journal shows as started — with no error.
+func TestStatusPreSpanJournalReadsEmpty(t *testing.T) {
+	storeDir := t.TempDir()
+	spec := testSpec()
+	units, err := spec.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putTestEntry(t, s, units[0].Key)
+	old := fmt.Sprintf(`{"op":"start","key":%q,"artifact":%q,"base_seed":0}
+{"op":"done","key":%q,"artifact":%q,"base_seed":0}
+{"op":"start","key":%q,"artifact":%q,"base_seed":0}
+{"op":"screened","key":%q,"artifact":%q,"base_seed":0,"prev":"p","note":"n"}
+`, units[0].Key, units[0].Artifact, units[0].Key, units[0].Artifact,
+		units[1].Key, units[1].Artifact, units[1].Key, units[1].Artifact)
+	if err := os.WriteFile(s.JournalPath(), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if spans, err := ReadSpans(s.JournalPath()); err != nil || len(spans) != 0 {
+		t.Fatalf("pre-span journal read as %+v, %v; want empty history", spans, err)
+	}
+	st, err := Status(spec, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := NewStatusDoc(st)
+	if doc.Total != 2 || doc.Done != 1 || doc.Pending != 1 || doc.Units[1].State != UnitPending {
+		t.Errorf("status over a pre-span journal: %+v", doc)
 	}
 }

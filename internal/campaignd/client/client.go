@@ -243,15 +243,6 @@ func (c *Client) Progress(ctx context.Context) (*campaignd.ProgressDoc, error) {
 	return &doc, nil
 }
 
-// Stats fetches the server's operator stats document.
-func (c *Client) Stats(ctx context.Context) (*campaignd.StatsDoc, error) {
-	var doc campaignd.StatsDoc
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
 // WorkStats summarizes one Work loop.
 type WorkStats struct {
 	Computed int // units computed and committed by this worker

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,17 +172,17 @@ func TestWorkerFanOutEndToEnd(t *testing.T) {
 
 	// The lease fabric must have actually expired and re-issued the
 	// doomed worker's unit.
-	resp, err := http.Get(base + "/v1/stats")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sd campaignd.StatsDoc
-	if err := json.NewDecoder(resp.Body).Decode(&sd); err != nil {
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if sd.Leases.Expired < 1 {
-		t.Errorf("no lease expired: %+v", sd.Leases)
+	if !regexp.MustCompile(`campaignd_leases_total\{event="expired_reissued"[^}]*\} [1-9]`).Match(prom) {
+		t.Errorf("no lease expired:\n%s", prom)
 	}
 
 	// Assembling from the worker-filled store is pure cache hits and

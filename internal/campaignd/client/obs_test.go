@@ -95,7 +95,7 @@ func TestCorrelationIDsPropagateClientToServer(t *testing.T) {
 
 	// Header echo: a well-formed caller-supplied id comes back verbatim;
 	// garbage is replaced with a fresh server-minted one.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/stats", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
 	req.Header.Set("X-Request-ID", "my.custom-ID_42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestCorrelationIDsPropagateClientToServer(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "my.custom-ID_42" {
 		t.Errorf("valid id not echoed: %q", got)
 	}
-	req, _ = http.NewRequest("GET", ts.URL+"/v1/stats", nil)
+	req, _ = http.NewRequest("GET", ts.URL+"/healthz", nil)
 	req.Header.Set("X-Request-ID", "bad id with spaces!")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {

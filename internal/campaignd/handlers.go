@@ -42,7 +42,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("GET /v1/meta/{key}", s.handleMeta)
 	handle("GET /v1/verdicts", s.handleVerdicts)
 	handle("GET /v1/traces/{key}", s.handleTraces)
-	handle("GET /v1/stats", s.handleStats)
 	handle("GET /v1/progress", s.handleProgress)
 	handle("GET /metrics", s.handleMetricsExposition)
 	handle("GET /healthz", s.handleHealthz)
@@ -185,6 +184,13 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 
 // --- leases ---
 
+// Client-supplied strings that end up in the journal are bounded, so
+// every journal line stays far below the reader's line limit.
+const (
+	maxWorkerName = 256  // LeaseRequest.Worker; longer names get 400
+	maxFailReason = 4096 // FailRequest.Error; longer reports are truncated
+)
+
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	st := s.campaignByID(r.PathValue("id"))
 	if st == nil {
@@ -196,6 +202,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if len(req.Worker) > maxWorkerName {
+		writeErr(w, http.StatusBadRequest, "worker name longer than %d bytes", maxWorkerName)
+		return
+	}
 	if req.Worker == "" {
 		req.Worker = "anonymous"
 	}
@@ -204,12 +214,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.stats.leasesExpired.Add(uint64(len(dead)))
 		now := s.now()
 		for _, l := range dead {
-			s.spans.Append(campaign.Span{
-				Unit: l.UnitName, Key: l.Unit.Key, Artifact: l.Unit.Artifact,
-				Phase: "lease", Worker: l.Worker,
-				StartUnixNs: l.Granted.UnixNano(), EndUnixNs: now.UnixNano(),
-				Note: "expired",
-			})
+			s.record(l.span(now, "expired"))
 		}
 		s.logger.InfoContext(r.Context(), "leases expired; units re-issuable", "count", len(dead))
 	}
@@ -223,11 +228,13 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		remaining++
-		l := s.leases.Grant(st.id, u, u.Name(), req.Worker)
+		l := s.leases.Grant(st.id, u, req.Worker)
 		if l == nil {
 			continue // live lease held by someone else
 		}
-		s.journal.Append(campaign.Record{Op: "start", Key: u.Key, Artifact: u.Artifact, BaseSeed: u.BaseSeed})
+		sp := u.Span("start", l.Granted, l.Granted)
+		sp.Worker = l.Worker
+		s.record(sp)
 		s.stats.leasesGranted.Add(1)
 		s.logger.InfoContext(obs.WithLeaseID(r.Context(), l.ID), "leased unit",
 			"unit", u.Name(), "key", u.Key[:12], "worker", req.Worker)
@@ -302,22 +309,17 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		worker = l.Worker
 	}
 	uploadEnd := s.now()
-	s.spans.Append(campaign.Span{
-		Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-		Phase: "upload", Worker: worker,
-		StartUnixNs: uploadStart.UnixNano(), EndUnixNs: uploadEnd.UnixNano(),
-	})
+	sp := unit.Span("upload", uploadStart, uploadEnd)
+	sp.Worker = worker
+	s.record(sp)
 	if err := s.store.Put(metaFor(unit, s.module), result, metrics); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	commitEnd := s.now()
-	s.spans.Append(campaign.Span{
-		Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-		Phase: "commit", Worker: worker,
-		StartUnixNs: uploadEnd.UnixNano(), EndUnixNs: commitEnd.UnixNano(),
-	})
-	s.journal.Append(campaign.Record{Op: "done", Key: unit.Key, Artifact: unit.Artifact, BaseSeed: unit.BaseSeed})
+	sp = unit.Span("commit", uploadEnd, commitEnd)
+	sp.Worker = worker
+	s.record(sp)
 	lost := l == nil || !live
 	if lost {
 		s.stats.lateCompletes.Add(1)
@@ -325,15 +327,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.stats.leasesCompleted.Add(1)
 	}
 	if l != nil {
-		s.spans.Append(campaign.Span{
-			Unit: unit.Name(), Key: unit.Key, Artifact: unit.Artifact,
-			Phase: "lease", Worker: l.Worker,
-			StartUnixNs: l.Granted.UnixNano(), EndUnixNs: commitEnd.UnixNano(),
-			Note: map[bool]string{true: "late", false: "completed"}[lost],
-		})
-		if !lost {
-			s.progress.unitCompleted(l.Worker, unit.Artifact, commitEnd.Sub(l.Granted))
-		}
+		s.record(l.span(commitEnd, map[bool]string{true: "late", false: "completed"}[lost]))
 	}
 	s.logger.InfoContext(ctx, "committed unit",
 		"artifact", unit.Artifact, "key", unit.Key[:12], "worker", worker, "lease_lost", lost)
@@ -352,20 +346,20 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.leasesFailed.Add(1)
-	s.progress.unitFailed(l.Worker)
 	st := s.campaignByID(l.CampaignID)
 	count := 0
 	if st != nil {
 		count = s.recordFailure(st, l.Unit.Key)
 	}
-	s.spans.Append(campaign.Span{
-		Unit: l.UnitName, Key: l.Unit.Key, Artifact: l.Unit.Artifact,
-		Phase: "lease", Worker: l.Worker,
-		StartUnixNs: l.Granted.UnixNano(), EndUnixNs: s.now().UnixNano(),
-		Note: "failed: " + req.Error,
-	})
+	// The error is the client's free text: bound what the journal keeps so
+	// one huge report cannot outgrow a journal line.
+	reason := req.Error
+	if len(reason) > maxFailReason {
+		reason = reason[:maxFailReason] + "…"
+	}
+	s.record(l.span(s.now(), "failed: "+reason))
 	s.logger.InfoContext(obs.WithLeaseID(r.Context(), l.ID), "worker failed unit",
-		"worker", l.Worker, "unit", l.UnitName, "attempt", count, "error", req.Error)
+		"worker", l.Worker, "unit", l.Unit.Name(), "attempt", count, "error", reason)
 	writeJSON(w, http.StatusOK, struct {
 		Failures int  `json:"failures"`
 		GivenUp  bool `json:"given_up"`
@@ -529,20 +523,6 @@ func (s *Server) renderTrace(key, format string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// --- stats ---
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	keys, err := s.store.Keys()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.mu.Lock()
-	nCampaigns := len(s.campaigns)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.stats.doc(s.now(), nCampaigns, len(keys), s.leases.Snapshot()))
-}
-
 // --- observability surface ---
 
 // handleMetricsExposition serves the registry as Prometheus text
@@ -589,11 +569,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
 
-	live := s.leases.Snapshot()
-	activeByWorker := make(map[string]int)
-	for _, l := range live {
-		activeByWorker[l.Worker]++
-	}
+	activeByWorker := s.leases.activeByWorker()
 	fleet := len(activeByWorker)
 	if fleet == 0 {
 		fleet = 1 // ETA assumes at least a sequential worker

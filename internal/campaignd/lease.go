@@ -19,9 +19,16 @@ type Lease struct {
 	CampaignID string
 	Worker     string
 	Unit       campaign.Unit
-	UnitName   string
 	Granted    time.Time
 	Deadline   time.Time
+}
+
+// span is the lease's lifecycle span, from grant to end, with the
+// disposition ("completed", "late", "expired", "failed: …") as its note.
+func (l *Lease) span(end time.Time, note string) campaign.Span {
+	sp := l.Unit.Span("lease", l.Granted, end)
+	sp.Worker, sp.Note = l.Worker, note
+	return sp
 }
 
 // leaseTable is the in-memory lease ledger. It is deliberately not
@@ -69,7 +76,7 @@ func (t *leaseTable) Sweep() []*Lease {
 
 // Grant leases the unit to worker, or returns nil if another live lease
 // already holds its key.
-func (t *leaseTable) Grant(campaignID string, u campaign.Unit, name, worker string) *Lease {
+func (t *leaseTable) Grant(campaignID string, u campaign.Unit, worker string) *Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if existing, ok := t.byKey[u.Key]; ok && !existing.Deadline.Before(t.now()) {
@@ -89,7 +96,6 @@ func (t *leaseTable) Grant(campaignID string, u campaign.Unit, name, worker stri
 		CampaignID: campaignID,
 		Worker:     worker,
 		Unit:       u,
-		UnitName:   name,
 		Granted:    now,
 		Deadline:   now.Add(t.ttl),
 	}
@@ -138,45 +144,6 @@ func (t *leaseTable) HasKey(key string) bool {
 	return ok && !l.Deadline.Before(t.now())
 }
 
-// LeaseInfo is one live lease as reported by /v1/stats.
-type LeaseInfo struct {
-	Worker     string  `json:"worker"`
-	CampaignID string  `json:"campaign_id"`
-	Unit       string  `json:"unit"`
-	Key        string  `json:"key"`
-	AgeSeconds float64 `json:"age_s"`
-	TTLSeconds float64 `json:"ttl_remaining_s"`
-}
-
-// Snapshot lists the live leases, oldest first.
-func (t *leaseTable) Snapshot() []LeaseInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	out := make([]LeaseInfo, 0, len(t.byID))
-	for _, l := range t.byID {
-		if l.Deadline.Before(now) {
-			continue
-		}
-		out = append(out, LeaseInfo{
-			Worker:     l.Worker,
-			CampaignID: l.CampaignID,
-			Unit:       l.UnitName,
-			Key:        l.Unit.Key,
-			AgeSeconds: now.Sub(l.Granted).Seconds(),
-			TTLSeconds: l.Deadline.Sub(now).Seconds(),
-		})
-	}
-	// Oldest (largest age) first; ties broken by key for stable output.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].AgeSeconds > out[j-1].AgeSeconds ||
-			(out[j].AgeSeconds == out[j-1].AgeSeconds && out[j].Key < out[j-1].Key)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // leasedKeys returns the set of keys under live lease (for status
 // overlays).
 func (t *leaseTable) leasedKeys() map[string]bool {
@@ -187,6 +154,20 @@ func (t *leaseTable) leasedKeys() map[string]bool {
 	for key, l := range t.byKey {
 		if !l.Deadline.Before(now) {
 			out[key] = true
+		}
+	}
+	return out
+}
+
+// activeByWorker counts the live leases each worker holds.
+func (t *leaseTable) activeByWorker() map[string]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.now()
+	out := make(map[string]int)
+	for _, l := range t.byID {
+		if !l.Deadline.Before(now) {
+			out[l.Worker]++
 		}
 	}
 	return out

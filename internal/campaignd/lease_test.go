@@ -22,12 +22,12 @@ func TestLeaseTableGrantHeartbeatExpiry(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	lt := newLeaseTable(30*time.Second, clock.now)
 
-	l := lt.Grant("c1", leaseUnit("k1"), "fig1/s0", "w1")
+	l := lt.Grant("c1", leaseUnit("k1"), "w1")
 	if l == nil || l.Worker != "w1" {
 		t.Fatalf("grant: %+v", l)
 	}
 	// The key is held: a second grant is refused while the lease lives.
-	if dup := lt.Grant("c1", leaseUnit("k1"), "fig1/s0", "w2"); dup != nil {
+	if dup := lt.Grant("c1", leaseUnit("k1"), "w2"); dup != nil {
 		t.Fatalf("double grant of a live key: %+v", dup)
 	}
 	if !lt.HasKey("k1") {
@@ -57,7 +57,7 @@ func TestLeaseTableGrantHeartbeatExpiry(t *testing.T) {
 	if lt.HasKey("k1") {
 		t.Fatal("HasKey after expiry")
 	}
-	l2 := lt.Grant("c1", leaseUnit("k1"), "fig1/s0", "w2")
+	l2 := lt.Grant("c1", leaseUnit("k1"), "w2")
 	if l2 == nil || l2.ID == l.ID {
 		t.Fatalf("re-grant after expiry: %+v", l2)
 	}
@@ -67,7 +67,7 @@ func TestLeaseTableRemoveLiveVsExpired(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	lt := newLeaseTable(10*time.Second, clock.now)
 
-	l := lt.Grant("c1", leaseUnit("k1"), "u", "w")
+	l := lt.Grant("c1", leaseUnit("k1"), "w")
 	if got, live := lt.Remove(l.ID); got == nil || !live {
 		t.Fatalf("remove live: %+v, %v", got, live)
 	}
@@ -77,43 +77,16 @@ func TestLeaseTableRemoveLiveVsExpired(t *testing.T) {
 
 	// An expired-but-unswept lease removes as not-live: the server
 	// counts its completion as late.
-	l2 := lt.Grant("c1", leaseUnit("k2"), "u", "w")
+	l2 := lt.Grant("c1", leaseUnit("k2"), "w")
+	if keys, active := lt.leasedKeys(), lt.activeByWorker(); !keys["k2"] || len(keys) != 1 || active["w"] != 1 {
+		t.Fatalf("live views: leasedKeys %v, activeByWorker %v", keys, active)
+	}
 	clock.advance(11 * time.Second)
+	// Expired leases drop out of the live views without a sweep.
+	if keys, active := lt.leasedKeys(), lt.activeByWorker(); len(keys) != 0 || len(active) != 0 {
+		t.Errorf("live views after expiry: leasedKeys %v, activeByWorker %v", keys, active)
+	}
 	if got, live := lt.Remove(l2.ID); got == nil || live {
 		t.Fatalf("remove expired: %+v, live=%v", got, live)
-	}
-}
-
-func TestLeaseTableSnapshotOldestFirst(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	lt := newLeaseTable(time.Minute, clock.now)
-
-	lt.Grant("c1", leaseUnit("k1"), "u1", "w1")
-	clock.advance(5 * time.Second)
-	lt.Grant("c1", leaseUnit("k2"), "u2", "w2")
-	clock.advance(5 * time.Second)
-
-	snap := lt.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	if snap[0].Key != "k1" || snap[1].Key != "k2" {
-		t.Errorf("snapshot order: %+v", snap)
-	}
-	if snap[0].AgeSeconds != 10 || snap[1].AgeSeconds != 5 {
-		t.Errorf("ages: %+v", snap)
-	}
-	keys := lt.leasedKeys()
-	if !keys["k1"] || !keys["k2"] || len(keys) != 2 {
-		t.Errorf("leasedKeys: %v", keys)
-	}
-
-	// Expired leases drop out of both views without a sweep.
-	clock.advance(time.Minute)
-	if snap := lt.Snapshot(); len(snap) != 0 {
-		t.Errorf("snapshot after expiry: %+v", snap)
-	}
-	if keys := lt.leasedKeys(); len(keys) != 0 {
-		t.Errorf("leasedKeys after expiry: %v", keys)
 	}
 }

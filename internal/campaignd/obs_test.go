@@ -18,10 +18,10 @@ import (
 )
 
 // Requests no registered route claims — random paths, wrong methods,
-// probe junk — must all collapse into the single "unmatched" stats key,
+// probe junk — must all collapse into the single "unmatched" route key,
 // so hostile clients cannot grow the per-route table without bound.
 func TestUnmatchedRoutesCollapseToOneKey(t *testing.T) {
-	_, ts, _ := newTestServer(t, 0, nil)
+	srv, ts, _ := newTestServer(t, 0, nil)
 	rng := rand.New(rand.NewSource(42))
 	const probes = 60
 	for i := 0; i < probes; i++ {
@@ -44,22 +44,23 @@ func TestUnmatchedRoutesCollapseToOneKey(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var stats StatsDoc
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats, 200)
-	um, ok := stats.Requests["unmatched"]
-	if !ok || um.Count < probes {
-		t.Fatalf("unmatched route doc: %+v (want count >= %d)", um, probes)
+	srv.stats.mu.Lock()
+	defer srv.stats.mu.Unlock()
+	routes := srv.stats.routes
+	um, ok := routes["unmatched"]
+	if !ok || um.hist.Snapshot().Count < probes {
+		t.Fatalf("unmatched route series missing or short (want count >= %d)", probes)
 	}
-	if um.Errors < probes {
-		t.Errorf("unmatched errors = %d, want >= %d (404s count as errors)", um.Errors, probes)
+	if n := um.errors.Value(); n < probes {
+		t.Errorf("unmatched errors = %d, want >= %d (404s count as errors)", n, probes)
 	}
-	for route := range stats.Requests {
+	for route := range routes {
 		if route != "unmatched" && !strings.HasPrefix(route, "GET ") && !strings.HasPrefix(route, "POST ") {
 			t.Errorf("unexpected route key %q — probe paths must not mint keys", route)
 		}
 	}
-	if len(stats.Requests) > 3 {
-		t.Errorf("request table grew to %d keys: %+v", len(stats.Requests), stats.Requests)
+	if len(routes) > 3 {
+		t.Errorf("request table grew to %d keys", len(routes))
 	}
 }
 
@@ -77,12 +78,6 @@ func TestMetricsExpositionParsesAndCovers(t *testing.T) {
 	if lr.Lease == nil {
 		t.Fatalf("lease: %+v", lr)
 	}
-	var stats StatsDoc
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats, 200)
-	if stats.Build.Module == "" || stats.Build.GoVersion == "" {
-		t.Errorf("build info missing from /v1/stats: %+v", stats.Build)
-	}
-
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +101,17 @@ func TestMetricsExpositionParsesAndCovers(t *testing.T) {
 	if !regexp.MustCompile(`campaignd_leases_total\{event="granted"[^}]*\} [1-9]`).Match(body) {
 		t.Error("campaignd_leases_total{event=\"granted\"} not >= 1 after a grant")
 	}
-	if !regexp.MustCompile(`campaignd_request_seconds_bucket\{[^}]*route="GET /v1/stats"[^}]*le=`).Match(body) &&
-		!regexp.MustCompile(`campaignd_request_seconds_bucket\{[^}]*le=[^}]*route="GET /v1/stats"`).Match(body) {
-		t.Error("no latency buckets for route \"GET /v1/stats\"")
+	const leaseRoute = `route="POST /v1/campaigns/\{id\}/lease"`
+	if !regexp.MustCompile(`campaignd_request_seconds_bucket\{[^}]*`+leaseRoute+`[^}]*le=`).Match(body) &&
+		!regexp.MustCompile(`campaignd_request_seconds_bucket\{[^}]*le=[^}]*`+leaseRoute).Match(body) {
+		t.Error("no latency buckets for route \"POST /v1/campaigns/{id}/lease\"")
 	}
 	if v, ok := prom.Sample("campaignd_build_info"); !ok || v != 1 {
 		t.Errorf("campaignd_build_info = %v, %v", v, ok)
+	}
+	if !regexp.MustCompile(`campaignd_build_info\{[^}]*module="[^"]+"[^}]*\} 1`).Match(body) ||
+		!regexp.MustCompile(`campaignd_build_info\{[^}]*go_version="go[^"]*"[^}]*\} 1`).Match(body) {
+		t.Error("campaignd_build_info lacks its module/go_version labels")
 	}
 	for _, name := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes",
 		"campaignd_uptime_seconds", "campaignd_leases_active", "campaignd_store_objects"} {
@@ -283,7 +283,7 @@ func TestProgressViewETAWorkersAndSpans(t *testing.T) {
 		t.Errorf("EWMA after second unit = %v, want ~4.4", got)
 	}
 
-	spans, err := campaign.ReadSpans(store.SpanPath())
+	spans, err := campaign.ReadSpans(store.JournalPath())
 	if err != nil {
 		t.Fatal(err)
 	}

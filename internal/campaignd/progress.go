@@ -2,8 +2,11 @@ package campaignd
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
+
+	"greedy80211/internal/campaign"
 )
 
 // ewmaAlpha weights the most recent unit wall-time at 30% — reactive
@@ -14,8 +17,9 @@ const ewmaAlpha = 0.3
 // progressTracker accumulates what the status endpoints cannot recover
 // from the store alone: how long units of each artifact actually take
 // (EWMA of lease-grant-to-commit wall time) and which workers have been
-// doing the work. It is advisory telemetry — a server restart forgets
-// it, and the ETAs simply warm up again.
+// doing the work, learned from the lifecycle spans Server.record
+// journals. It is advisory telemetry — a server restart forgets it, and
+// the ETAs simply warm up again.
 type progressTracker struct {
 	mu      sync.Mutex
 	now     func() time.Time
@@ -56,38 +60,39 @@ func (p *progressTracker) workerSeen(name string) {
 	p.worker(name).lastSeen = p.now()
 }
 
-// unitCompleted folds one finished unit's wall time into the artifact's
-// EWMA and credits the worker.
-func (p *progressTracker) unitCompleted(worker, artifact string, wall time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sample := wall.Seconds()
-	if sample < 0 {
-		sample = 0
-	}
-	if prev, ok := p.ewma[artifact]; ok {
-		p.ewma[artifact] = ewmaAlpha*sample + (1-ewmaAlpha)*prev
-	} else {
-		p.ewma[artifact] = sample
-	}
-	if worker != "" {
-		w := p.worker(worker)
-		w.completed++
-		w.lastSeen = p.now()
-	}
-}
-
-// unitFailed debits the worker (the unit's wall time teaches nothing —
-// failures are not representative of compute cost).
-func (p *progressTracker) unitFailed(worker string) {
-	if worker == "" {
+// observe folds one journaled lifecycle span into the view. Only lease
+// spans teach it anything: a completed lease feeds its grant-to-commit
+// wall time into the artifact's EWMA and credits the worker; a failed
+// one debits the worker (its wall time teaches nothing — failures are
+// not representative of compute cost). Expired and late leases update
+// nothing.
+func (p *progressTracker) observe(sp campaign.Span) {
+	if sp.Phase != "lease" {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := p.worker(worker)
-	w.failed++
-	w.lastSeen = p.now()
+	switch {
+	case sp.Note == "completed":
+		sample := time.Duration(sp.EndUnixNs - sp.StartUnixNs).Seconds()
+		if sample < 0 {
+			sample = 0
+		}
+		if prev, ok := p.ewma[sp.Artifact]; ok {
+			p.ewma[sp.Artifact] = ewmaAlpha*sample + (1-ewmaAlpha)*prev
+		} else {
+			p.ewma[sp.Artifact] = sample
+		}
+		if sp.Worker != "" {
+			w := p.worker(sp.Worker)
+			w.completed++
+			w.lastSeen = p.now()
+		}
+	case strings.HasPrefix(sp.Note, "failed") && sp.Worker != "":
+		w := p.worker(sp.Worker)
+		w.failed++
+		w.lastSeen = p.now()
+	}
 }
 
 func (p *progressTracker) ewmaSnapshot() map[string]float64 {

@@ -59,7 +59,6 @@ type Server struct {
 	cfg      Config
 	store    *campaign.Store
 	journal  *campaign.Journal
-	spans    *campaign.SpanLog
 	leases   *leaseTable
 	stats    *serverStats
 	progress *progressTracker
@@ -79,9 +78,9 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New builds a Server over an open store. The server appends to the
-// store's write-ahead journal (lease grants journal "start", commits
-// journal "done") and to its progress-span log, so `campaign status`
+// New builds a Server over an open store. The server appends its unit
+// lifecycle to the store's journal (a lease grant journals "start", a
+// commit journals "upload", "commit" and "lease"), so `campaign status`
 // and `campaign spans` on the same store see what the server did. The
 // store's backend is re-wrapped with per-op metrics, so every
 // persistence call the server makes shows up on /metrics.
@@ -110,17 +109,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans, err := campaign.OpenSpanLog(cfg.Store.SpanPath())
-	if err != nil {
-		journal.Close()
-		return nil, err
-	}
 	stats := newServerStats(now(), core.ModuleFingerprint())
 	s := &Server{
 		cfg:       cfg,
 		store:     campaign.NewStore(newMeteredBackend(cfg.Store.Backend(), stats.reg), cfg.Store.JournalPath()),
 		journal:   journal,
-		spans:     spans,
 		leases:    newLeaseTable(cfg.LeaseTTL, now),
 		stats:     stats,
 		progress:  newProgressTracker(now),
@@ -166,13 +159,18 @@ func (s *Server) registerGauges() {
 		})
 }
 
-// Close releases the journal and span log. Safe after Serve returns.
-func (s *Server) Close() error {
-	err := s.journal.Close()
-	if serr := s.spans.Close(); err == nil {
-		err = serr
+// Close releases the journal. Safe after Serve returns.
+func (s *Server) Close() error { return s.journal.Close() }
+
+// record appends one lifecycle span to the journal and feeds it to the
+// progress view. The journal is history, not the source of truth (the
+// store is), so an append error is logged rather than failing the
+// request that produced the span.
+func (s *Server) record(sp campaign.Span) {
+	if err := s.journal.Append(sp); err != nil {
+		s.logger.Warn("journal append failed", "phase", sp.Phase, "unit", sp.Unit, "error", err)
 	}
-	return err
+	s.progress.observe(sp)
 }
 
 // Handler returns the service's HTTP surface: correlation-ID plumbing,
@@ -267,7 +265,7 @@ func (s *Server) Register(spec *campaign.Spec) (string, error) {
 			failures: make(map[string]int),
 		}
 		s.order = append(s.order, id)
-		s.spans.Append(campaign.Span{
+		s.record(campaign.Span{
 			Unit: id, Phase: "expand",
 			StartUnixNs: expandStart.UnixNano(), EndUnixNs: expandEnd.UnixNano(),
 			Note: fmt.Sprintf("%d units", len(units)),
@@ -353,9 +351,8 @@ func (s *Server) refSets() ([]*report.RefSet, error) {
 // then the listener closes and in-flight requests get DrainTimeout to
 // finish (a mid-commit upload either lands completely or not at all —
 // store commits are atomic and the journal is line-buffered). The
-// journal and span log close last, so a SIGTERM'd server leaves the
-// store and WAL exactly as consistent as a crash would, minus the torn
-// tail.
+// journal closes last, so a SIGTERM'd server leaves the store and WAL
+// exactly as consistent as a crash would, minus the torn tail.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),

@@ -44,6 +44,21 @@ func newTestServer(t *testing.T, ttl time.Duration, clock *fakeClock) (*Server, 
 	return srv, ts, store
 }
 
+// scrape fetches and parses the server's /metrics exposition.
+func scrape(t *testing.T, base string) *obs.PromDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	prom, err := obs.ParsePrometheusText(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	return prom
+}
+
 // doJSON posts (or gets, with nil body) and decodes into out, asserting
 // the expected status.
 func doJSON(t *testing.T, method, url string, in, out any, wantStatus int) {
@@ -77,7 +92,7 @@ func doJSON(t *testing.T, method, url string, in, out any, wantStatus int) {
 }
 
 func TestServerBlobConditionalReads(t *testing.T) {
-	_, ts, store := newTestServer(t, 0, nil)
+	srv, ts, store := newTestServer(t, 0, nil)
 	key := strings.Repeat("ab", 32)
 	result := []byte("{\n  \"id\": \"x\",\n  \"title\": \"t\"\n}\n")
 	if err := store.Put(campaign.Meta{Key: key, Artifact: "x"}, result, []byte("[]\n")); err != nil {
@@ -134,14 +149,14 @@ func TestServerBlobConditionalReads(t *testing.T) {
 		t.Error("404 without error doc")
 	}
 
-	// The stats surface saw all of it.
-	var stats StatsDoc
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats, 200)
-	if stats.Cache.Served < 2 || stats.Cache.NotModified != 1 || stats.Cache.Missing != 1 {
-		t.Errorf("cache stats: %+v", stats.Cache)
+	// The metrics surface saw all of it.
+	st := srv.stats
+	if st.blobServed.Value() < 2 || st.blobNotModified.Value() != 1 || st.blobMissing.Value() != 1 {
+		t.Errorf("cache stats: served %d, not modified %d, missing %d",
+			st.blobServed.Value(), st.blobNotModified.Value(), st.blobMissing.Value())
 	}
-	if stats.StoreObjects != 1 {
-		t.Errorf("store objects: %d", stats.StoreObjects)
+	if n, ok := scrape(t, ts.URL).Sample("campaignd_store_objects"); !ok || n != 1 {
+		t.Errorf("store objects: %v, %v", n, ok)
 	}
 }
 
@@ -234,7 +249,7 @@ func TestServerCampaignLifecycle(t *testing.T) {
 
 func TestServerLeaseExpiryReissueAndLateUpload(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(5000, 0)}
-	_, ts, _ := newTestServer(t, 10*time.Second, clock)
+	srv, ts, _ := newTestServer(t, 10*time.Second, clock)
 	spec := testSpec()
 
 	var doc CampaignDoc
@@ -286,10 +301,10 @@ func TestServerLeaseExpiryReissueAndLateUpload(t *testing.T) {
 		t.Fatalf("duplicate upload: %+v", cr)
 	}
 
-	var stats StatsDoc
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats, 200)
-	if stats.Leases.Expired < 1 || stats.Leases.LateCompletes != 1 || stats.Leases.Completed != 1 {
-		t.Errorf("lease stats: %+v", stats.Leases)
+	st := srv.stats
+	if st.leasesExpired.Value() < 1 || st.lateCompletes.Value() != 1 || st.leasesCompleted.Value() != 1 {
+		t.Errorf("lease stats: expired %d, late %d, completed %d",
+			st.leasesExpired.Value(), st.lateCompletes.Value(), st.leasesCompleted.Value())
 	}
 }
 
@@ -319,6 +334,55 @@ func TestServerUnitFailureRetirement(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/campaigns/"+doc.ID, nil, &doc, 200)
 	if doc.Status.Failed != 1 {
 		t.Fatalf("status after retirement: %+v", doc.Status)
+	}
+}
+
+// Client-supplied strings reach the journal, whose reader takes lines of
+// at most 1 MiB. A 2 MiB failure report must be stored truncated (its
+// reply unchanged) so the journal stays readable, and a 2 MiB worker
+// name must be refused outright.
+func TestServerBoundsClientStringsInJournal(t *testing.T) {
+	srv, ts, store := newTestServer(t, 0, nil)
+	var doc CampaignDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", testSpec(), &doc, 200)
+	huge := strings.Repeat("x", 2<<20)
+
+	var ed ErrorDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: huge}, &ed, 400)
+	if ed.Error == "" {
+		t.Error("400 without error doc")
+	}
+
+	var lr LeaseResponse
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "w"}, &lr, 200)
+	if lr.Lease == nil {
+		t.Fatalf("lease: %+v", lr)
+	}
+	var fr struct {
+		Failures int  `json:"failures"`
+		GivenUp  bool `json:"given_up"`
+	}
+	doJSON(t, "POST", ts.URL+"/v1/leases/"+lr.Lease.LeaseID+"/fail", FailRequest{Error: huge}, &fr, 200)
+	if fr.Failures != 1 || fr.GivenUp {
+		t.Errorf("fail reply: %+v", fr)
+	}
+	if n := srv.stats.leasesFailed.Value(); n != 1 {
+		t.Errorf("failed leases counted %d, want 1", n)
+	}
+
+	spans, err := campaign.ReadSpans(store.JournalPath())
+	if err != nil {
+		t.Fatalf("journal unreadable after an oversized failure report: %v", err)
+	}
+	count := map[string]int{}
+	for _, s := range spans {
+		count[s.Phase]++
+		if s.Phase == "lease" && (!strings.HasPrefix(s.Note, "failed: xxx") || len(s.Note) > 8<<10) {
+			t.Errorf("failed lease note: %d bytes, prefix %.20q", len(s.Note), s.Note)
+		}
+	}
+	if count["expand"] != 1 || count["start"] != 1 || count["lease"] != 1 || len(spans) != 3 {
+		t.Errorf("journal phases: %v, want expand, start and lease once each", count)
 	}
 }
 
@@ -378,7 +442,7 @@ func TestServerVerdictsConditional(t *testing.T) {
 }
 
 func TestServerTraceRenders(t *testing.T) {
-	_, ts, store := newTestServer(t, 0, nil)
+	srv, ts, store := newTestServer(t, 0, nil)
 	// fig1 is a simulated artifact, so its render has real recordings
 	// (tab3 is analytic and would render an empty-trace note instead).
 	spec := &campaign.Spec{
@@ -428,10 +492,8 @@ func TestServerTraceRenders(t *testing.T) {
 	if resp3.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional render: %d", resp3.StatusCode)
 	}
-	var stats StatsDoc
-	doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats, 200)
-	if stats.Traces.Rendered != 1 || stats.Traces.Cached != 1 {
-		t.Errorf("trace stats: %+v", stats.Traces)
+	if r, c := srv.stats.tracesRendered.Value(), srv.stats.tracesCached.Value(); r != 1 || c != 1 {
+		t.Errorf("trace stats: rendered %d, cached %d", r, c)
 	}
 
 	// JSONL format renders each line as a JSON object.

@@ -9,17 +9,14 @@ import (
 	"greedy80211/internal/obs"
 )
 
-// serverStats is the observability surface behind both GET /v1/stats
-// (operator JSON) and GET /metrics (Prometheus text). Everything is
-// backed by one obs.Registry — the JSON document is a view over the
-// same counters and histograms the exposition serves, so the two can
-// never disagree. Route series are keyed by the registered pattern
-// (unmatched requests collapse to "unmatched"), so cardinality stays
-// bounded no matter what paths clients probe.
+// serverStats is the observability surface behind GET /metrics
+// (Prometheus text), backed by one obs.Registry. Route series are keyed
+// by the registered pattern (unmatched requests collapse to
+// "unmatched"), so cardinality stays bounded no matter what paths
+// clients probe.
 type serverStats struct {
-	start  time.Time
-	module string
-	reg    *obs.Registry
+	start time.Time
+	reg   *obs.Registry
 
 	blobServed      *obs.Counter // 200s off the store (results/metrics/meta/traces/verdicts)
 	blobNotModified *obs.Counter // 304s — the warm-reader fast path
@@ -38,13 +35,10 @@ type serverStats struct {
 	routes map[string]*routeStats
 }
 
-// routeStats is one route's latency series: the histogram carries
-// count/sum/distribution for /metrics, the max rides alongside for the
-// JSON view (a histogram cannot recover it).
+// routeStats is one route's latency histogram and error count.
 type routeStats struct {
 	hist   *obs.Histogram
 	errors *obs.Counter
-	maxNs  int64
 }
 
 const (
@@ -74,7 +68,6 @@ func newServerStats(start time.Time, module string) *serverStats {
 	}
 	return &serverStats{
 		start:           start,
-		module:          module,
 		reg:             reg,
 		blobServed:      reads("served"),
 		blobNotModified: reads("not_modified"),
@@ -102,94 +95,11 @@ func (s *serverStats) observe(route string, status int, d time.Duration) {
 		}
 		s.routes[route] = rs
 	}
-	if ns := d.Nanoseconds(); ns > rs.maxNs {
-		rs.maxNs = ns
-	}
 	s.mu.Unlock()
 	rs.hist.Observe(d.Seconds())
 	if status >= 400 {
 		rs.errors.Inc()
 	}
-}
-
-// RouteDoc is one route's latency summary in StatsDoc.
-type RouteDoc struct {
-	Count  uint64  `json:"count"`
-	Errors uint64  `json:"errors,omitempty"`
-	AvgMs  float64 `json:"avg_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-// StatsDoc is the GET /v1/stats body.
-type StatsDoc struct {
-	UptimeSeconds float64 `json:"uptime_s"`
-	Campaigns     int     `json:"campaigns"`
-	StoreObjects  int     `json:"store_objects"`
-	Build         struct {
-		Module    string `json:"module"`
-		GoVersion string `json:"go_version"`
-	} `json:"build"`
-	Cache struct {
-		Served      uint64  `json:"served"`
-		NotModified uint64  `json:"not_modified"`
-		Missing     uint64  `json:"missing"`
-		HitRate     float64 `json:"hit_rate"` // 304s over all found reads
-	} `json:"cache"`
-	Leases struct {
-		Active        int         `json:"active"`
-		OldestAgeS    float64     `json:"oldest_age_s"`
-		Granted       uint64      `json:"granted"`
-		Expired       uint64      `json:"expired_reissued"`
-		Completed     uint64      `json:"completed"`
-		Failed        uint64      `json:"failed"`
-		LateCompletes uint64      `json:"late_completes"`
-		Live          []LeaseInfo `json:"live,omitempty"`
-	} `json:"leases"`
-	Traces struct {
-		Rendered uint64 `json:"rendered"`
-		Cached   uint64 `json:"cached"`
-	} `json:"traces"`
-	Requests map[string]RouteDoc `json:"requests"`
-}
-
-func (s *serverStats) doc(now time.Time, campaigns, storeObjects int, live []LeaseInfo) *StatsDoc {
-	d := &StatsDoc{
-		UptimeSeconds: now.Sub(s.start).Seconds(),
-		Campaigns:     campaigns,
-		StoreObjects:  storeObjects,
-		Requests:      make(map[string]RouteDoc),
-	}
-	d.Build.Module = s.module
-	d.Build.GoVersion = runtime.Version()
-	d.Cache.Served = s.blobServed.Value()
-	d.Cache.NotModified = s.blobNotModified.Value()
-	d.Cache.Missing = s.blobMissing.Value()
-	if total := d.Cache.Served + d.Cache.NotModified; total > 0 {
-		d.Cache.HitRate = float64(d.Cache.NotModified) / float64(total)
-	}
-	d.Leases.Active = len(live)
-	if len(live) > 0 {
-		d.Leases.OldestAgeS = live[0].AgeSeconds
-	}
-	d.Leases.Granted = s.leasesGranted.Value()
-	d.Leases.Expired = s.leasesExpired.Value()
-	d.Leases.Completed = s.leasesCompleted.Value()
-	d.Leases.Failed = s.leasesFailed.Value()
-	d.Leases.LateCompletes = s.lateCompletes.Value()
-	d.Leases.Live = live
-	d.Traces.Rendered = s.tracesRendered.Value()
-	d.Traces.Cached = s.tracesCached.Value()
-	s.mu.Lock()
-	for route, rs := range s.routes {
-		snap := rs.hist.Snapshot()
-		doc := RouteDoc{Count: snap.Count, Errors: rs.errors.Value(), MaxMs: float64(rs.maxNs) / 1e6}
-		if snap.Count > 0 {
-			doc.AvgMs = snap.Sum / float64(snap.Count) * 1e3
-		}
-		d.Requests[route] = doc
-	}
-	s.mu.Unlock()
-	return d
 }
 
 // statusRecorder captures the response code, byte count, and — set by

@@ -15,7 +15,6 @@ import (
 
 	"greedy80211/internal/detect"
 	"greedy80211/internal/greedy"
-	"greedy80211/internal/medium"
 	"greedy80211/internal/metrics"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/runner"
@@ -102,14 +101,10 @@ type Config struct {
 	// EnableGRC installs the countermeasure at every station.
 	EnableGRC bool
 
-	// Trace attaches a channel tap (e.g. *trace.Recorder) to every run;
-	// events from all runs accumulate into the same tap. Because the tap
-	// is shared mutable state, runs execute sequentially when it is set.
-	Trace medium.Tap
 	// FlightRecorder, when non-nil, attaches a full flight recorder (tap +
-	// MAC probe) to every run, one recording per seed. Unlike Trace, each
-	// run gets its own recorder, so runs stay parallel and the collector's
-	// canonical ordering keeps exports deterministic.
+	// MAC probe) to every run, one recording per seed. Each run gets its
+	// own recorder, so runs stay parallel and the collector's canonical
+	// ordering keeps exports deterministic.
 	FlightRecorder *trace.Collector
 	// Pools, when non-nil, folds every run's end-of-run pool occupancy
 	// (frame/packet arenas, arrival arena, event slab) into the report.
@@ -252,7 +247,6 @@ func (c Config) buildWorld(seed int64, grcCfg *detect.Config) (*scenario.World, 
 		Band:         c.Band,
 		UseRTSCTS:    !c.DisableRTSCTS,
 		ForceCapture: c.Misbehavior == MisbehaviorACKSpoofing,
-		Trace:        c.Trace,
 	}
 	switch {
 	case c.DataFER > 0:
@@ -331,27 +325,10 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return res, nil
 	}
 	// Runs are independent deterministic worlds, so they execute on the
-	// runner pool — except when a Trace tap is attached: the tap is shared
-	// mutable state that every run's channel feeds, so those runs stay
-	// sequential (with a cancellation check between runs).
-	var runs []runResult
-	if cfg.Trace != nil {
-		for r := 0; r < cfg.Runs; r++ {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			rr, err := oneRun(r)
-			if err != nil {
-				return Result{}, err
-			}
-			runs = append(runs, rr)
-		}
-	} else {
-		var err error
-		runs, err = runner.MapContext(ctx, cfg.Runs, func(r int) (runResult, error) { return oneRun(r) })
-		if err != nil {
-			return Result{}, err
-		}
+	// runner pool.
+	runs, err := runner.MapContext(ctx, cfg.Runs, oneRun)
+	if err != nil {
+		return Result{}, err
 	}
 	perFlow := make(map[int][]float64)
 	snaps := make([]*metrics.Snapshot, 0, len(runs))

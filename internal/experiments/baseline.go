@@ -27,33 +27,32 @@ func runExtC(cfg RunConfig) (*Result, error) {
 	}
 	type extcCase struct {
 		name  string
-		build func(seed int64, dom *detect.Domino) (*scenario.World, error)
+		build func(seed int64) (*scenario.World, error)
 	}
 	cases := []extcCase{
-		{"nav-inflation +10ms CTS", func(seed int64, dom *detect.Domino) (*scenario.World, error) {
+		{"nav-inflation +10ms CTS", func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
-				Config:    scenario.Config{Seed: seed, UseRTSCTS: true, Trace: dom},
+				Config:    scenario.Config{Seed: seed, UseRTSCTS: true},
 				N:         2,
 				Transport: scenario.UDP,
 				ReceiverSpecs: lastGreedy(2, 1,
 					scenario.PolicySpec{Name: scenario.PolicyNAVInflation, Frames: "cts"}),
 			})
 		}},
-		{"ack-spoofing BER 2e-4", func(seed int64, dom *detect.Domino) (*scenario.World, error) {
+		{"ack-spoofing BER 2e-4", func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4),
-					ForceCapture: true, Trace: dom,
+					ForceCapture: true,
 				},
 				N:             2,
 				Transport:     scenario.TCP,
 				ReceiverSpecs: lastGreedy(2, 1, spoofForR1),
 			})
 		}},
-		{"fake-acks hidden terminals", func(seed int64, dom *detect.Domino) (*scenario.World, error) {
-			base := scenario.Config{Seed: seed, Trace: dom}
+		{"fake-acks hidden terminals", func(seed int64) (*scenario.World, error) {
 			return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{
-				Config:        base,
+				Config:        scenario.Config{Seed: seed},
 				ReceiverSpecs: lastGreedy(2, 1, fakePolicy(100)),
 			})
 		}},
@@ -68,12 +67,13 @@ func runExtC(cfg RunConfig) (*Result, error) {
 		// so cases are independent and run concurrently.
 		dom := detect.NewDomino(phys.Params80211B(), 0.5, 20)
 		seed := cfg.BaseSeed + 1
-		w, err := tc.build(seed, dom)
+		w, err := tc.build(seed)
 		if err != nil {
 			return caseResult{}, err
 		}
-		// The Domino monitor occupies the world's Config.Trace tap, so the
-		// flight recorder (if any) joins as a second tap here.
+		// The Domino monitor is the world's first tap; the flight recorder
+		// (if any) joins as a second.
+		w.Medium.AddTap(dom)
 		if cfg.Trace != nil {
 			rec := cfg.Trace.Start(seed)
 			w.AttachTrace(rec, rec)

@@ -100,10 +100,6 @@ type Config struct {
 	// ACKs under the assumption that capture always resolves the
 	// two-simultaneous-ACKs case; this switch mirrors that assumption.
 	ForceCapture bool
-	// Tap observes every transmission and per-receiver outcome when
-	// non-nil (tracing, airtime accounting). It must not mutate frames.
-	// Further taps can join the fan-out after construction with AddTap.
-	Tap Tap
 	// Metrics, when non-nil, receives per-station transmit-airtime and
 	// channel-occupancy bumps at frame grant time — the always-on
 	// telemetry path (no tap required, plain counter arithmetic).
@@ -196,7 +192,7 @@ type Medium struct {
 	rng      *rand.Rand
 	radios   map[mac.NodeID]*radio
 	order    []*radio // deterministic iteration order
-	taps     []Tap    // fan-out list, seeded from cfg.Tap
+	taps     []Tap    // fan-out list, in AddTap order
 	arrivals *pool.Arena[arrival]
 	// batch holds one transmission's arrivals, indexed by neighbor rank,
 	// between drawing their RSSIs and scheduling them.
@@ -230,16 +226,14 @@ func New(sched *sim.Scheduler, cfg Config) (*Medium, error) {
 		radios: make(map[mac.NodeID]*radio),
 	}
 	m.arrivals = pool.NewArena[arrival](64, func(a *arrival) { a.m = m })
-	if cfg.Tap != nil {
-		m.taps = append(m.taps, cfg.Tap)
-	}
 	return m, nil
 }
 
-// AddTap appends a tap to the fan-out list. Taps fire in registration
-// order (the constructor's Config.Tap first); a flight recorder can join a
-// medium that already carries a detector tap. Call it before the
-// simulation runs.
+// AddTap appends a tap to the fan-out list: it observes every
+// transmission and per-receiver outcome (tracing, airtime accounting,
+// detectors) and must not mutate frames. Taps fire in registration
+// order; a flight recorder can join a medium that already carries a
+// detector tap. Call it before the simulation runs.
 func (m *Medium) AddTap(t Tap) {
 	if t == nil {
 		panic("medium: AddTap with nil tap")

@@ -272,10 +272,10 @@ func (r *tapRecorder) OnReceive(_ mac.NodeID, _ *mac.Frame, _ mac.RxInfo, at sim
 func TestMediumTapContract(t *testing.T) {
 	cfg := DefaultConfig()
 	tap := &tapRecorder{}
-	cfg.Tap = tap
 	sched, m, _ := setupRaw(t, cfg, []phys.Position{
 		{}, {X: 5}, {X: 0, Y: 5},
 	})
+	m.AddTap(tap)
 	air := 300 * sim.Microsecond
 	m.Transmit(1, dataFrame(1, 2, 1), air)
 	sched.Run()

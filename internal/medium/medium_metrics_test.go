@@ -86,8 +86,8 @@ func TestRegistryAgreesWithTap(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tap := &airtimeSum{}
 	cfg.Metrics = reg
-	cfg.Tap = tap
 	h := newHarness(t, cfg, 23)
+	h.med.AddTap(tap)
 	h.addStation(t, 1, phys.Position{X: 0}, mac.Config{UseRTSCTS: true})
 	h.addStation(t, 2, phys.Position{X: 5}, mac.Config{UseRTSCTS: true})
 	h.startFlow(1, 2)

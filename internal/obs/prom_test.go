@@ -11,7 +11,7 @@ import (
 // cumulatively with le, escapes applied.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry(Label{Key: "module", Value: `m"1`})
-	r.Counter("svc_requests_total", "Requests served.", Label{Key: "route", Value: "GET /v1/stats"}).Add(3)
+	r.Counter("svc_requests_total", "Requests served.", Label{Key: "route", Value: "GET /v1/progress"}).Add(3)
 	r.Counter("svc_requests_total", "Requests served.", Label{Key: "route", Value: "unmatched"}).Add(1)
 	r.Gauge("svc_leases_active", "Live leases.").Set(2)
 	r.GaugeFunc("svc_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
@@ -37,7 +37,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		`svc_leases_active{module="m\"1"} 2`,
 		`# HELP svc_requests_total Requests served.`,
 		`# TYPE svc_requests_total counter`,
-		`svc_requests_total{module="m\"1",route="GET /v1/stats"} 3`,
+		`svc_requests_total{module="m\"1",route="GET /v1/progress"} 3`,
 		`svc_requests_total{module="m\"1",route="unmatched"} 1`,
 		`# HELP svc_uptime_seconds Uptime.`,
 		`# TYPE svc_uptime_seconds gauge`,

@@ -46,8 +46,6 @@ func runFuzzWorld(t *testing.T, seed int64, rng *rand.Rand) {
 		cfg.Error = phys.FERSpec([]float64{0.1, 0.4}[rng.Intn(2)])
 	}
 	cfg.ForceCapture = rng.Intn(2) == 0
-	rec := trace.NewRecorder(8)
-	cfg.Trace = rec
 
 	n := 1 + rng.Intn(4)
 	tr := transports[rng.Intn(2)]
@@ -77,6 +75,8 @@ func runFuzzWorld(t *testing.T, seed int64, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	rec := trace.NewRecorder(8)
+	w.Medium.AddTap(rec)
 	const d = 2 * sim.Second
 	w.Run(d)
 

@@ -425,13 +425,14 @@ func TestSharedAPHeadOfLineBlocking(t *testing.T) {
 func TestTraceTapIntegration(t *testing.T) {
 	rec := trace.NewRecorder(64)
 	w, err := BuildPairs(PairsConfig{
-		Config:    Config{Seed: 29, UseRTSCTS: true, Trace: rec},
+		Config:    Config{Seed: 29, UseRTSCTS: true},
 		N:         2,
 		Transport: UDP,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Medium.AddTap(rec)
 	w.Run(sim.Second)
 
 	st := rec.Stats()

@@ -62,9 +62,6 @@ type Config struct {
 	DisableCapture bool
 	// QueueCap bounds every MAC queue; zero keeps the default of 50.
 	QueueCap int
-	// Trace attaches a channel tap recording every transmission and
-	// reception outcome when non-nil.
-	Trace medium.Tap
 	// ControlRateBps overrides the band's basic rate for control frames
 	// (RTS/CTS/ACK); zero keeps the default (1 Mbps on 802.11b). The
 	// control-rate ablation uses it.
@@ -192,7 +189,6 @@ func NewWorld(cfg Config) (*World, error) {
 	mcfg.DefaultError = em
 	mcfg.RateError = rem
 	mcfg.ForceCapture = cfg.ForceCapture
-	mcfg.Tap = cfg.Trace
 	reg := metrics.NewRegistry()
 	mcfg.Metrics = reg
 	if cfg.DisableCapture {
