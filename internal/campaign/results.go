@@ -19,7 +19,7 @@ type UnitResult struct {
 	// reproduces the stored bytes exactly.
 	Result *experiments.Result
 	// Snapshots is the unit's telemetry sidecar, one snapshot per
-	// runSeeds batch in canonical order.
+	// RunSeeds batch in canonical order.
 	Snapshots []*metrics.Snapshot
 }
 

@@ -14,8 +14,8 @@ func phasesByName(spans []Span) map[string][]Span {
 	return out
 }
 
-// A local engine run must leave a span trail beside the journal: one
-// expand span plus compute and commit spans for every unit it
+// A local engine run must record its spans in the lifecycle journal:
+// one expand span plus compute and commit spans for every unit it
 // simulated — and a warm rerun (all cache hits) adds only another
 // expand span, since hits do no work worth timing.
 func TestRunWritesLifecycleSpans(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRunWritesLifecycleSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := len(spans) + 1; len(spans2) != want {
-		t.Errorf("warm rerun grew the span log to %d entries, want %d (one more expand)", len(spans2), want)
+		t.Errorf("warm rerun grew the journal to %d spans, want %d (one more expand)", len(spans2), want)
 	}
 }
 

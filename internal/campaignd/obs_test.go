@@ -226,8 +226,8 @@ func completeLease(t *testing.T, ts string, lr *LeaseResponse) {
 
 // The progress view must learn per-unit wall time from completions
 // (EWMA), project an ETA for the remainder, expose the worker fleet,
-// and flip Done only when nothing is pending or leased — while the span
-// log beside the journal records the full unit lifecycle.
+// and flip Done only when nothing is pending or leased — while the
+// lifecycle journal records the full unit lifecycle.
 func TestProgressViewETAWorkersAndSpans(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(9000, 0)}
 	_, ts, store := newTestServer(t, time.Hour, clock)

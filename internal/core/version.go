@@ -1,3 +1,7 @@
+// Package core holds the module's identity: ModuleFingerprint names the
+// code that produced a result, for durable cache keys. Worlds are built
+// from station specs in package scenario and run over seeds by
+// experiments.RunSeeds.
 package core
 
 import "runtime/debug"

@@ -61,13 +61,13 @@ func runAbl1(cfg RunConfig) (*Result, error) {
 				ReceiverSpecs: lastGreedy(2, 1, spoofer),
 			})
 		}
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, false)
 		}, nil)
 		if err != nil {
 			return baseAttPoint{}, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, true)
 		}, nil)
 		return baseAttPoint{base, att}, err
@@ -103,7 +103,7 @@ func runAbl2(cfg RunConfig) (*Result, error) {
 	pts, err := sweep(thresholds, func(th float64) (thPoint, error) {
 		grcCfg := detect.DefaultConfig()
 		grcCfg.RSSIThresholdDB = th
-		flows, metrics, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, metrics, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return grcSpoofWorldWithConfig(seed, 4.4e-4, grcCfg)
 		}, func(w *scenario.World, m map[string]float64) {
 			s1, _ := w.Station("S1")
@@ -152,7 +152,7 @@ func runAbl3(cfg RunConfig) (*Result, error) {
 		if c.greedy {
 			nav = scenario.PolicySpec{Name: scenario.PolicyNAVInflation, Frames: "cts"}
 		}
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, ControlRateBps: c.rate,

@@ -76,7 +76,7 @@ func runExtA(cfg RunConfig) (*Result, error) {
 		if c.fake {
 			policy = fakePolicy(100)
 		}
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.UDP, c.arf, policy)
 		}, nil)
 		return flows, err
@@ -120,7 +120,7 @@ func runExtB(cfg RunConfig) (*Result, error) {
 		if c.spoof {
 			policy = spoofForR1
 		}
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return autoratePairs(seed, scenario.TCP, c.arf, policy)
 		}, nil)
 		return flows, err

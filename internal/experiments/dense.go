@@ -75,13 +75,13 @@ func runDense1(cfg RunConfig) (*Result, error) {
 		name string
 		plan []int
 	}) (planPoint, error) {
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return denseWorld(seed, p.plan, false)
 		}, nil)
 		if err != nil {
 			return planPoint{}, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return denseWorld(seed, p.plan, true)
 		}, nil)
 		return planPoint{base, att}, err

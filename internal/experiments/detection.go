@@ -148,19 +148,19 @@ func runFig23(cfg RunConfig) (*Result, error) {
 		grcR1 := stats.Series{Name: "GR + GRC: R1 (Mbps)"}
 		grcR2 := stats.Series{Name: "GR + GRC: R2 (Mbps)"}
 		pts, err := sweep(dists, func(d float64) (protPoint, error) {
-			base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return grcNAVWorld(seed, tc.tr, d, false, false)
 			}, nil)
 			if err != nil {
 				return protPoint{}, err
 			}
-			att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return grcNAVWorld(seed, tc.tr, d, true, false)
 			}, nil)
 			if err != nil {
 				return protPoint{}, err
 			}
-			prot, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			prot, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return grcNAVWorld(seed, tc.tr, d, true, true)
 			}, nil)
 			return protPoint{base, att, prot}, err
@@ -247,19 +247,19 @@ func runFig24(cfg RunConfig) (*Result, error) {
 	grcR1 := stats.Series{Name: "GR + GRC: R1 (Mbps)"}
 	grcR2 := stats.Series{Name: "GR + GRC: R2 (Mbps)"}
 	pts, err := sweep(bers, func(ber float64) (protPoint, error) {
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return grcSpoofWorld(seed, ber, false, false)
 		}, nil)
 		if err != nil {
 			return protPoint{}, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return grcSpoofWorld(seed, ber, true, false)
 		}, nil)
 		if err != nil {
 			return protPoint{}, err
 		}
-		prot, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		prot, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return grcSpoofWorld(seed, ber, true, true)
 		}, nil)
 		return protPoint{base, att, prot}, err

@@ -13,7 +13,7 @@ import (
 // artifact regenerated on a saturated worker pool is byte-identical to the
 // sequential regeneration. Representative artifacts cover a series sweep
 // with extracted metrics (fig2), a non-simulation study (tab1), and a
-// table-of-cases runner with nested runSeeds fan-out (abl1).
+// table-of-cases runner with nested RunSeeds fan-out (abl1).
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := RunConfig{Quick: true, Seeds: 3, BaseSeed: 17}
 	old := runner.Limit()

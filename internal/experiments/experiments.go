@@ -36,7 +36,7 @@ type RunConfig struct {
 	// and smoke tests).
 	Quick bool
 	// Metrics, when non-nil, collects one telemetry snapshot (seed-median
-	// of every world's per-station counters) per runSeeds invocation — the
+	// of every world's per-station counters) per RunSeeds invocation — the
 	// sidecar the cmds write next to the artifact output. The collector
 	// canonicalizes ordering, so parallel and sequential runs of the same
 	// artifact produce identical sidecars.
@@ -247,13 +247,16 @@ type seedRun struct {
 	snap    *metrics.Snapshot
 }
 
-// runSeeds builds and runs the scenario once per seed, extracting per-flow
-// goodputs and any additional metrics, then reduces each to its median.
+// RunSeeds builds and runs the scenario once per seed (BaseSeed+1 …
+// BaseSeed+Seeds, each for Duration; cfg should be normalized), extracting
+// per-flow goodputs and any additional metrics, then reduces each to its
+// median. It is the one loop that builds and runs a world per seed: every
+// artifact runner, greedysim and the examples go through it.
 // Seeds run concurrently on the runner pool (each world is an independent
 // single-goroutine simulation); results are merged in seed order, so the
 // medians are identical to a sequential run. When cfg.Metrics is set, the
 // seed-median telemetry snapshot of the worlds is added to the collector.
-func runSeeds(cfg RunConfig, build func(seed int64) (*scenario.World, error),
+func RunSeeds(cfg RunConfig, build func(seed int64) (*scenario.World, error),
 	extract func(w *scenario.World, metrics map[string]float64)) (map[int]float64, map[string]float64, error) {
 	runs, err := runner.Map(cfg.Seeds, func(i int) (seedRun, error) {
 		seed := cfg.BaseSeed + int64(i) + 1
@@ -323,7 +326,7 @@ type baseAttPoint struct {
 
 // sweep runs body(x) for every sweep value concurrently on the runner pool
 // and returns the per-point results in sweep order. The bodies themselves
-// typically call runSeeds, which fans out further; nesting is safe and the
+// typically call RunSeeds, which fans out further; nesting is safe and the
 // ordering of the returned slice — and therefore of every series point and
 // table row derived from it — matches the sequential loop it replaces.
 func sweep[X any, T any](xs []X, body func(x X) (T, error)) ([]T, error) {

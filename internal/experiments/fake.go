@@ -43,13 +43,13 @@ func runFig18(cfg RunConfig) (*Result, error) {
 	bothR1 := stats.Series{Name: "2 GR: R1 (Mbps)"}
 	bothR2 := stats.Series{Name: "2 GR: R2 (Mbps)"}
 	pts, err := sweep(gps, func(gp float64) (baseAttPoint, error) {
-		one, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		one, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return hiddenWorld(seed, phys.Band80211B, gp, 1)
 		}, nil)
 		if err != nil {
 			return baseAttPoint{}, err
 		}
-		both, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		both, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return hiddenWorld(seed, phys.Band80211B, gp, 2)
 		}, nil)
 		return baseAttPoint{base: one, att: both}, err
@@ -100,7 +100,7 @@ func runTab4(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(rc rowCase) (map[string]float64, error) {
-		_, metrics, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		_, metrics, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return hiddenWorld(seed, rc.band, 100, rc.nGreedy)
 		}, cwExtract)
 		return metrics, err
@@ -140,19 +140,19 @@ func runTab5(cfg RunConfig) (*Result, error) {
 		base, one, two map[int]float64
 	}
 	pts, err := sweep(fers, func(fer float64) (ferPoint, error) {
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return inherentLossPairs(seed, fer, 0, 0)
 		}, nil)
 		if err != nil {
 			return ferPoint{}, err
 		}
-		one, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		one, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return inherentLossPairs(seed, fer, 100, 1)
 		}, nil)
 		if err != nil {
 			return ferPoint{}, err
 		}
-		two, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		two, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return inherentLossPairs(seed, fer, 100, 2)
 		}, nil)
 		return ferPoint{base, one, two}, err
@@ -180,7 +180,7 @@ func runFig19(cfg RunConfig) (*Result, error) {
 		gr := stats.Series{Name: "greedy (Mbps)"}
 		pts, err := sweep(ns, func(n int) (map[int]float64, error) {
 			total := n + 1
-			flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return scenario.BuildPairs(scenario.PairsConfig{
 					Config: scenario.Config{
 						Seed: seed, UseRTSCTS: true, Error: phys.DataFERSpec(fer),

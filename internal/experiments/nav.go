@@ -52,7 +52,7 @@ func runFig1(cfg RunConfig) (*Result, error) {
 	gr := stats.Series{Name: "GS-GR (Mbps)"}
 	pts, err := sweep(sweepMs, func(ms float64) (map[int]float64, error) {
 		extra := sim.FromSeconds(ms / 1000)
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.UDP, greedy.CTSOnly, extra, 100, 1, 2)
 		}, nil)
 		return flows, err
@@ -85,7 +85,7 @@ func runFig2(cfg RunConfig) (*Result, error) {
 	slot := phys.Params80211B().SlotTime
 	pts, err := sweep(sweepSlots, func(v float64) (map[string]float64, error) {
 		extra := sim.Time(v) * slot
-		_, metrics, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		_, metrics, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.UDP, greedy.CTSAndACK, extra, 100, 1, 2)
 		}, cwExtract)
 		return metrics, err
@@ -111,7 +111,7 @@ func runFig3(cfg RunConfig) (*Result, error) {
 	slot := phys.Params80211B().SlotTime
 	pts, err := sweep(sweepSlots, func(v float64) (map[string]float64, error) {
 		extra := sim.Time(v) * slot
-		_, metrics, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		_, metrics, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.UDP, greedy.CTSAndACK, extra, 100, 1, 2)
 		}, func(w *scenario.World, m map[string]float64) {
 			ns, _ := w.Station(scenario.SenderName(0))
@@ -164,7 +164,7 @@ func navTCPSweep(cfg RunConfig, band phys.Band, set greedy.FrameSet, label strin
 	gr := stats.Series{Name: "GS-GR " + label}
 	pts, err := sweep(sweepMs, func(ms float64) (map[int]float64, error) {
 		extra := sim.FromSeconds(ms / 1000)
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, band, scenario.TCP, set, extra, 100, 1, 2)
 		}, nil)
 		return flows, err
@@ -215,7 +215,7 @@ func runFig6(cfg RunConfig) (*Result, error) {
 	nrAvg := stats.Series{Name: "avg of 7 normal receivers (Mbps)"}
 	pts, err := sweep(sweepMs, func(ms float64) (map[int]float64, error) {
 		extra := sim.FromSeconds(ms / 1000)
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.TCP, greedy.CTSOnly, extra, 100, 1, 8)
 		}, nil)
 		return flows, err
@@ -245,7 +245,7 @@ func runFig7(cfg RunConfig) (*Result, error) {
 		nr := stats.Series{Name: "NS-NR (Mbps)"}
 		gr := stats.Series{Name: "GS-GR (Mbps)"}
 		pts, err := sweep(gps, func(gp float64) (map[int]float64, error) {
-			flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return navPairs(seed, phys.Band80211B, scenario.TCP, greedy.CTSOnly, extra, gp, 1, 2)
 			}, nil)
 			return flows, err
@@ -285,7 +285,7 @@ func runFig8(cfg RunConfig) (*Result, error) {
 	}
 	rows, err := sweep(cases, func(rc rowCase) (map[int]float64, error) {
 		extra := sim.FromSeconds(rc.navMs / 1000)
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.TCP, greedy.CTSOnly, extra, 100, rc.k, 2)
 		}, nil)
 		return flows, err
@@ -312,7 +312,7 @@ func runFig9(cfg RunConfig) (*Result, error) {
 		counts = []int{0, 2}
 	}
 	rows, err := sweep(counts, func(k int) (map[int]float64, error) {
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.TCP, greedy.CTSOnly, 31*sim.Millisecond, 100, k, 8)
 		}, nil)
 		return flows, err
@@ -356,7 +356,7 @@ func runFig10(cfg RunConfig) (*Result, error) {
 		gr := stats.Series{Name: "greedy (Mbps)"}
 		pts, err := sweep(sweepMs, func(ms float64) (map[int]float64, error) {
 			extra := sim.FromSeconds(ms / 1000)
-			flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return sharedAP(seed, tr, n, extra)
 			}, nil)
 			return flows, err
@@ -408,13 +408,13 @@ func runTab2(cfg RunConfig) (*Result, error) {
 	}
 	pts, err := sweep(sweepMs, func(ms float64) (cwndPoint, error) {
 		extra := sim.FromSeconds(ms / 1000)
-		_, oneSnd, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		_, oneSnd, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return sharedAP(seed, scenario.TCP, 2, extra)
 		}, cwnd)
 		if err != nil {
 			return cwndPoint{}, err
 		}
-		_, twoSnd, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		_, twoSnd, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return navPairs(seed, phys.Band80211B, scenario.TCP, greedy.CTSOnly, extra, 100, 1, 2)
 		}, cwnd)
 		if err != nil {

@@ -64,13 +64,13 @@ func runFig11(cfg RunConfig) (*Result, error) {
 		wNR := stats.Series{Name: "w R2 GR: NR (Mbps)"}
 		wGR := stats.Series{Name: "w R2 GR: GR (Mbps)"}
 		pts, err := sweep(bers, func(ber float64) (baseAttPoint, error) {
-			base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return spoofPairs(seed, band, ber, 0, 0)
 			}, nil)
 			if err != nil {
 				return baseAttPoint{}, err
 			}
-			att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return spoofPairs(seed, band, ber, 100, 1)
 			}, nil)
 			return baseAttPoint{base, att}, err
@@ -99,7 +99,7 @@ func runFig12(cfg RunConfig) (*Result, error) {
 		nr := stats.Series{Name: "NS-NR (Mbps)"}
 		gr := stats.Series{Name: "GS-GR (Mbps)"}
 		pts, err := sweep(gps, func(gp float64) (map[int]float64, error) {
-			flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+			flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 				return spoofPairs(seed, phys.Band80211B, ber, gp, 1)
 			}, nil)
 			return flows, err
@@ -146,7 +146,7 @@ func runFig13(cfg RunConfig) (*Result, error) {
 		}
 	}
 	rows, err := sweep(cases, func(rc rowCase) (map[int]float64, error) {
-		flows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		flows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return spoofPairs(seed, phys.Band80211B, 2e-4, rc.gp, rc.k)
 		}, nil)
 		return flows, err
@@ -180,7 +180,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 		total := n + 1
 		spoofer := lastGreedy(total, 1, scenario.PolicySpec{Name: scenario.PolicyACKSpoofing})
 		// (a) shared AP: receiver total-1 spoofs for everyone else.
-		sharedFlows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		sharedFlows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildSharedAP(scenario.SharedAPConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
@@ -195,7 +195,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 		}
 
 		// (b) separate APs: pairs topology.
-		sepFlows, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		sepFlows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
@@ -287,13 +287,13 @@ func runFig15(cfg RunConfig) (*Result, error) {
 		// Long WAN round trips need longer runs: TCP must leave slow
 		// start and reach steady state before the measurement means much.
 		wanCfg := wanDuration(cfg, delay)
-		base, _, err := runSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
 			return remoteSenders(seed, delay, 0)
 		}, nil)
 		if err != nil {
 			return baseAttPoint{}, err
 		}
-		att, _, err := runSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
 			return remoteSenders(seed, delay, 100)
 		}, nil)
 		return baseAttPoint{base, att}, err
@@ -326,7 +326,7 @@ func runFig16(cfg RunConfig) (*Result, error) {
 		nr := stats.Series{Name: "NR (Mbps)"}
 		gr := stats.Series{Name: "GR (Mbps)"}
 		pts, err := sweep(gps, func(gp float64) (map[int]float64, error) {
-			flows, _, err := runSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
+			flows, _, err := RunSeeds(wanCfg, func(seed int64) (*scenario.World, error) {
 				return remoteSenders(seed, delay, gp)
 			}, nil)
 			return flows, err
@@ -368,13 +368,13 @@ func runFig17(cfg RunConfig) (*Result, error) {
 	wNR := stats.Series{Name: "w R2 GR: NR (Mbps)"}
 	wGR := stats.Series{Name: "w R2 GR: GR (Mbps)"}
 	pts, err := sweep(bers, func(ber float64) (baseAttPoint, error) {
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, ber, 0)
 		}, nil)
 		if err != nil {
 			return baseAttPoint{}, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return build(seed, ber, 100)
 		}, nil)
 		return baseAttPoint{base, att}, err

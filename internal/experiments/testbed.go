@@ -46,14 +46,14 @@ func runTab6(cfg RunConfig) (*Result, error) {
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
 	set := greedy.FrameSet{RTS: true}
-	base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return testbedPairs(seed, scenario.TCP, true, set, false)
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("no GR", base[1], base[2])
-	att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return testbedPairs(seed, scenario.TCP, true, set, true)
 	}, nil)
 	if err != nil {
@@ -84,13 +84,13 @@ func runTab7(cfg RunConfig) (*Result, error) {
 		rows = rows[:1]
 	}
 	for _, row := range rows {
-		base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return testbedPairs(seed, scenario.UDP, row.useRTS, row.set, false)
 		}, nil)
 		if err != nil {
 			return nil, err
 		}
-		att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+		att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return testbedPairs(seed, scenario.UDP, row.useRTS, row.set, true)
 		}, nil)
 		if err != nil {
@@ -146,14 +146,14 @@ func runTab8(cfg RunConfig) (*Result, error) {
 		Title:  "Paper testbed: no GR 2.68/1.96 Mbps; with GR 3.51 (GR) vs 0.98 (NR).",
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
-	base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 2e-4, scenario.TCP, scenario.StationOpts{})
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("no GR", base[1], base[2])
-	att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 2e-4, scenario.TCP,
 			scenario.StationOpts{SpoofEmulationVictims: []string{"R1"}})
 	}, nil)
@@ -172,14 +172,14 @@ func runTab9(cfg RunConfig) (*Result, error) {
 		Title:  "Paper testbed: no GR 2.08/2.99 Mbps; with GR 2.79 (GR) vs 2.35 (NR).",
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
-	base, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 8e-4, scenario.UDP, scenario.StationOpts{})
 	}, nil)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("no GR", base[1], base[2])
-	att, _, err := runSeeds(cfg, func(seed int64) (*scenario.World, error) {
+	att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 8e-4, scenario.UDP,
 			scenario.StationOpts{CWMinCapPeers: []string{"R2"}})
 	}, nil)

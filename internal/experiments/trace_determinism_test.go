@@ -25,7 +25,7 @@ func exportAll(t *testing.T, coll *trace.Collector) []byte {
 // deterministic: the same artifact recorded on a single-worker pool and
 // on a wide pool must produce byte-identical JSONL streams, because the
 // Collector orders recordings canonically by seed, not completion order.
-// fig1 fans out seeds under one sweep; abl1 nests runSeeds per case.
+// fig1 fans out seeds under one sweep; abl1 nests RunSeeds per case.
 func TestTraceParallelMatchesSequential(t *testing.T) {
 	old := runner.Limit()
 	defer runner.SetLimit(old)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"greedy80211/internal/phys"
-	"greedy80211/internal/sim"
-	"greedy80211/internal/stats"
 	"greedy80211/internal/transport"
 )
 
@@ -218,29 +216,4 @@ func BuildHiddenPairs(cfg HiddenPairsConfig) (*World, error) {
 		}
 	}
 	return w, nil
-}
-
-// MedianOverSeeds runs build for nSeeds consecutive seeds, runs each world
-// for d, extracts per-flow goodput in Mbit/s, and reports the per-flow
-// median — the paper's 5-run median methodology.
-func MedianOverSeeds(nSeeds int, baseSeed int64, d sim.Time, build func(seed int64) (*World, error)) (map[int]float64, error) {
-	if nSeeds <= 0 {
-		return nil, fmt.Errorf("scenario: nSeeds %d must be positive", nSeeds)
-	}
-	perFlow := make(map[int][]float64)
-	for i := 0; i < nSeeds; i++ {
-		w, err := build(baseSeed + int64(i))
-		if err != nil {
-			return nil, err
-		}
-		w.Run(d)
-		for _, fl := range w.Flows() {
-			perFlow[fl.ID] = append(perFlow[fl.ID], fl.GoodputMbps(d))
-		}
-	}
-	out := make(map[int]float64, len(perFlow))
-	for id, vals := range perFlow {
-		out[id] = stats.Median(vals)
-	}
-	return out, nil
 }

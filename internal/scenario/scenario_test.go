@@ -462,25 +462,6 @@ func TestTraceTapIntegration(t *testing.T) {
 	}
 }
 
-func TestMedianOverSeeds(t *testing.T) {
-	got, err := MedianOverSeeds(3, 100, 2*sim.Second, func(seed int64) (*World, error) {
-		return BuildPairs(PairsConfig{
-			Config:    Config{Seed: seed, UseRTSCTS: true},
-			N:         2,
-			Transport: UDP,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1] <= 0 || got[2] <= 0 {
-		t.Errorf("medians = %v", got)
-	}
-	if _, err := MedianOverSeeds(0, 0, sim.Second, nil); err == nil {
-		t.Error("nSeeds 0 accepted")
-	}
-}
-
 // Section VII-C end to end: active probing distinguishes a fake-ACKing
 // receiver (application loss with a clean-looking MAC) from an honest one.
 func TestFakeACKDetectionViaProbing(t *testing.T) {
