@@ -49,9 +49,9 @@ var runArtifact = experiments.Run
 func run(args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		list     = fs.Bool("list", false, "list every artifact and exit")
-		id       = fs.String("run", "", "artifact id (fig1..fig24, tab1..tab9), comma-separated list, or \"all\"")
-		artifact = fs.String("artifact", "", "alias for -run")
+		list         = fs.Bool("list", false, "list every artifact and exit")
+		id           = fs.String("run", "", "artifact id (fig1..fig24, tab1..tab9), comma-separated list, or \"all\"")
+		artifact     = fs.String("artifact", "", "alias for -run")
 		analyticMode = fs.Bool("analytic", false,
 			"print the Markov-chain analytic tier's predictions for the artifact(s) instead of simulating (no sweep, milliseconds instead of minutes)")
 		seeds    = fs.Int("seeds", 0, "seeded repetitions per data point (default 5, paper methodology)")

@@ -41,12 +41,11 @@ func TestJSONOutputWritesStableFile(t *testing.T) {
 	if got := run([]string{"-run", "tab3", "-json", dir}); got != 0 {
 		t.Fatalf("run exited %d", got)
 	}
-	f, err := os.Open(filepath.Join(dir, "tab3.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "tab3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	res, err := experiments.DecodeResult(f)
+	res, err := experiments.DecodeResult(data)
 	if err != nil {
 		t.Fatal(err)
 	}

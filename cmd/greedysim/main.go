@@ -125,6 +125,8 @@ func run(args []string) int {
 	if mis == scenario.PolicyNone {
 		*greedyN = 0
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// Reject flag combinations that describe no runnable world, naming
 	// the offending flag.
 	switch {
@@ -136,6 +138,10 @@ func run(args []string) int {
 		err = fmt.Errorf("-pairs %d: need at least one pair", *pairs)
 	case mis != scenario.PolicyNone && *greedyN < 1:
 		err = fmt.Errorf("-greedy %d: -misbehavior %s needs at least one greedy receiver", *greedyN, *misFlag)
+	case set["nav"] && mis != scenario.PolicyNAVInflation:
+		err = fmt.Errorf("-nav applies to -misbehavior nav only, not %s", *misFlag)
+	case set["frames"] && mis != scenario.PolicyNAVInflation:
+		err = fmt.Errorf("-frames applies to -misbehavior nav only, not %s", *misFlag)
 	case *greedyN > *pairs:
 		err = fmt.Errorf("-greedy %d exceeds -pairs %d", *greedyN, *pairs)
 	case *gp < 0 || *gp > 100:

@@ -231,6 +231,12 @@ func TestValidation(t *testing.T) {
 		{"zero pairs", []string{"-pairs", "0"}, "-pairs"},
 		{"zero greedy", []string{"-misbehavior", "nav", "-greedy", "0"}, "-greedy"},
 		{"hidden tcp", []string{"-misbehavior", "fake", "-hidden", "-transport", "tcp"}, "-transport"},
+		{"nav without nav misbehavior", []string{"-misbehavior", "spoof", "-transport", "tcp", "-ber", "2e-4",
+			"-nav", "10ms"}, "-nav"},
+		{"frames without nav misbehavior", []string{"-misbehavior", "spoof", "-transport", "tcp", "-ber", "2e-4",
+			"-frames", "rts"}, "-frames"},
+		{"zero nav without misbehavior", []string{"-nav", "0"}, "-nav"},
+		{"default frames without misbehavior", []string{"-frames", "cts+ack"}, "-frames"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

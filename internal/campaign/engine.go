@@ -303,7 +303,7 @@ func assemble(store *Store, units []Unit, outDir string) ([]string, error) {
 			return nil, fmt.Errorf("campaign: assemble: %w", err)
 		}
 		files = append(files, path)
-		snaps, err := metrics.DecodeSnapshots(bytes.NewReader(metricsJSON))
+		snaps, err := metrics.DecodeSnapshots(metricsJSON)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: assemble %s: %w", u.Name(), err)
 		}
@@ -323,10 +323,10 @@ func assemble(store *Store, units []Unit, outDir string) ([]string, error) {
 // document and a snapshot array. VerifyEntry uses it against stored
 // bytes; campaignd uses it to vet worker uploads before committing them.
 func CheckPayloads(result, metricsJSON []byte) error {
-	if _, err := experiments.DecodeResult(bytes.NewReader(result)); err != nil {
+	if _, err := experiments.DecodeResult(result); err != nil {
 		return err
 	}
-	if _, err := metrics.DecodeSnapshots(bytes.NewReader(metricsJSON)); err != nil {
+	if _, err := metrics.DecodeSnapshots(metricsJSON); err != nil {
 		return err
 	}
 	return nil

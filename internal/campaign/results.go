@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -61,11 +60,11 @@ func Results(spec *Spec, store *Store) ([]UnitResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := experiments.DecodeResult(bytes.NewReader(resultJSON))
+		res, err := experiments.DecodeResult(resultJSON)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: results %s: %w", u.Name(), err)
 		}
-		snaps, err := metrics.DecodeSnapshots(bytes.NewReader(metricsJSON))
+		snaps, err := metrics.DecodeSnapshots(metricsJSON)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: results %s: %w", u.Name(), err)
 		}

@@ -70,6 +70,31 @@ func TestStoreRoundTripAndVerify(t *testing.T) {
 	}
 }
 
+// TestCheckPayloadsRejects feeds CheckPayloads the malformed payloads a
+// worker could upload. Each must be refused, since an accepted result is
+// copied verbatim into every assembly.
+func TestCheckPayloadsRejects(t *testing.T) {
+	const result, metricsJSON = "{\n  \"id\": \"x\"\n}\n", "[]\n"
+	if err := CheckPayloads([]byte(result), []byte(metricsJSON)); err != nil {
+		t.Fatalf("well-formed payloads rejected: %v", err)
+	}
+	tests := []struct{ name, result, metrics string }{
+		{"result not json", "not json", metricsJSON},
+		{"result trailing junk", `{"id":"fig1"} trailing junk`, metricsJSON},
+		{"result trailing value", result + `{"id":"fig2"}`, metricsJSON},
+		{"metrics trailing value", result, `[] {"oops":1}`},
+		{"null snapshot", result, "[null]"},
+		{"metrics not an array", result, `{"runs":1}`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if err := CheckPayloads([]byte(tt.result), []byte(tt.metrics)); err == nil {
+				t.Errorf("accepted result %q, metrics %q", tt.result, tt.metrics)
+			}
+		})
+	}
+}
+
 func TestOpenStoreSweepsStaleTmp(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "tmp-dead"), 0o755); err != nil {

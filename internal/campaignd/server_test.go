@@ -386,6 +386,9 @@ func TestServerBoundsClientStringsInJournal(t *testing.T) {
 	}
 }
 
+// TestServerRejectsCorruptUpload uploads malformed payloads for a leased
+// unit: each must be answered 422 with nothing committed, and the
+// well-formed upload that follows must still commit.
 func TestServerRejectsCorruptUpload(t *testing.T) {
 	_, ts, store := newTestServer(t, 0, nil)
 	spec := testSpec()
@@ -393,15 +396,38 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/campaigns", spec, &doc, 200)
 	var lr LeaseResponse
 	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "w"}, &lr, 200)
-
-	var ed ErrorDoc
-	doJSON(t, "POST", ts.URL+"/v1/leases/"+lr.Lease.LeaseID+"/complete",
-		CompleteRequest{Key: lr.Lease.Unit.Key, Result: "not json", Metrics: "[]"}, &ed, 422)
-	if ed.Error == "" {
-		t.Error("422 without error doc")
+	unit, err := lr.Lease.Unit.Unit()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if store.Has(lr.Lease.Unit.Key) {
-		t.Error("corrupt upload reached the store")
+	result, metrics, err := campaign.ComputeUnit(unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := ts.URL + "/v1/leases/" + lr.Lease.LeaseID + "/complete"
+
+	tests := []struct{ name, result, metrics string }{
+		{"result not json", "not json", string(metrics)},
+		{"result trailing junk", string(result) + " trailing junk", string(metrics)},
+		{"metrics trailing value", string(result), `[] {"oops":1}`},
+		{"null snapshot", string(result), "[null]"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var ed ErrorDoc
+			doJSON(t, "POST", complete, CompleteRequest{Key: unit.Key, Result: tt.result, Metrics: tt.metrics}, &ed, 422)
+			if ed.Error == "" {
+				t.Error("422 without error doc")
+			}
+			if store.Has(unit.Key) {
+				t.Fatal("corrupt upload reached the store")
+			}
+		})
+	}
+	var cr CompleteResponse
+	doJSON(t, "POST", complete, CompleteRequest{Key: unit.Key, Result: string(result), Metrics: string(metrics)}, &cr, 200)
+	if !cr.Committed || !store.Has(unit.Key) {
+		t.Errorf("well-formed upload after the rejects: %+v", cr)
 	}
 }
 

@@ -90,9 +90,9 @@ type SubmitRequest = campaign.Spec
 // plus the shared status codec (the exact struct `campaign status -json`
 // prints).
 type CampaignDoc struct {
-	ID        string               `json:"id"`
-	Artifacts []string             `json:"artifacts"`
-	Status    *campaign.StatusDoc  `json:"status"`
+	ID        string              `json:"id"`
+	Artifacts []string            `json:"artifacts"`
+	Status    *campaign.StatusDoc `json:"status"`
 }
 
 // CampaignList is GET /v1/campaigns.

@@ -57,7 +57,7 @@ func runDense1(cfg RunConfig) (*Result, error) {
 	cfg = cfg.Normalize()
 	res := &Result{ID: "dense1", Title: "Greedy receiver in a dense multi-BSS hotspot grid"}
 	t := stats.Table{
-		Title: "Fake ACKs in the center BSS: the greedy flow's gain and the collateral damage shrink as the channel plan separates overlapping cells.",
+		Title:  "Fake ACKs in the center BSS: the greedy flow's gain and the collateral damage shrink as the channel plan separates overlapping cells.",
 		Header: []string{"plan", "case", "greedy_flow", "same_cell_avg", "other_cells_avg", "aggregate"},
 	}
 	plans := []struct {

@@ -31,13 +31,12 @@ func (r *Result) MarshalStable() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeResult reads one WriteJSON document back. Decoding then
-// re-encoding yields byte-identical output (float64s survive the JSON
-// round trip exactly).
-func DecodeResult(rd io.Reader) (*Result, error) {
+// DecodeResult reads one WriteJSON document back; anything but
+// whitespace after it is an error. Decoding then re-encoding yields
+// byte-identical output (float64s survive the JSON round trip exactly).
+func DecodeResult(data []byte) (*Result, error) {
 	var res Result
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&res); err != nil {
+	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("experiments: json decode: %w", err)
 	}
 	return &res, nil

@@ -28,7 +28,7 @@ func TestResultJSONRoundTripIsIdentity(t *testing.T) {
 			if !bytes.Equal(first, again) {
 				t.Fatal("encoding the same Result twice produced different bytes")
 			}
-			decoded, err := DecodeResult(bytes.NewReader(first))
+			decoded, err := DecodeResult(first)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ const DebugEnabled = false
 // state and its methods are never reached.
 type guard struct{}
 
-func (guard) init()              {}
-func (guard) onGrow(any)         {}
-func (guard) onGet(any)          {}
-func (guard) onPut(any) bool     { return false }
+func (guard) init()          {}
+func (guard) onGrow(any)     {}
+func (guard) onGet(any)      {}
+func (guard) onPut(any) bool { return false }

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -60,7 +59,7 @@ func ModelAgreement(sets []*RefSet, artifact string, res *experiments.Result) (b
 // the analytic model still vouches for them.
 func ModelScreen(sets []*RefSet) func(u campaign.Unit, prev campaign.Meta, result []byte) (bool, string) {
 	return func(u campaign.Unit, prev campaign.Meta, result []byte) (bool, string) {
-		res, err := experiments.DecodeResult(bytes.NewReader(result))
+		res, err := experiments.DecodeResult(result)
 		if err != nil {
 			return false, fmt.Sprintf("previous result undecodable: %v", err)
 		}
