@@ -320,11 +320,23 @@ func assemble(store *Store, units []Unit, outDir string) ([]string, error) {
 }
 
 // CheckPayloads validates that a unit's two payloads parse as a Result
-// document and a snapshot array. VerifyEntry uses it against stored
-// bytes; campaignd uses it to vet worker uploads before committing them.
+// document and a snapshot array, and that the result is in its canonical
+// form: re-encoding the decoded Result must give back the bytes exactly,
+// which refuses unknown, case-folded and duplicate keys and any other
+// layout. VerifyEntry uses it against stored bytes; campaignd uses it to
+// vet worker uploads before committing them. The re-encode lives here,
+// not in DecodeResult, so reads of committed results do not pay for it.
 func CheckPayloads(result, metricsJSON []byte) error {
-	if _, err := experiments.DecodeResult(result); err != nil {
+	res, err := experiments.DecodeResult(result)
+	if err != nil {
 		return err
+	}
+	canon, err := res.MarshalStable()
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(canon, result) {
+		return fmt.Errorf("campaign: result differs from its canonical re-encoding (unknown, case-folded or duplicate key, or other layout)")
 	}
 	if _, err := metrics.DecodeSnapshots(metricsJSON); err != nil {
 		return err

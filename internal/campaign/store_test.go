@@ -74,7 +74,7 @@ func TestStoreRoundTripAndVerify(t *testing.T) {
 // worker could upload. Each must be refused, since an accepted result is
 // copied verbatim into every assembly.
 func TestCheckPayloadsRejects(t *testing.T) {
-	const result, metricsJSON = "{\n  \"id\": \"x\"\n}\n", "[]\n"
+	const result, metricsJSON = "{\n  \"id\": \"x\",\n  \"title\": \"\"\n}\n", "[]\n"
 	if err := CheckPayloads([]byte(result), []byte(metricsJSON)); err != nil {
 		t.Fatalf("well-formed payloads rejected: %v", err)
 	}
@@ -85,6 +85,20 @@ func TestCheckPayloadsRejects(t *testing.T) {
 		{"metrics trailing value", result, `[] {"oops":1}`},
 		{"null snapshot", result, "[null]"},
 		{"metrics not an array", result, `{"runs":1}`},
+		// The rest decode as a Result but are not the bytes MarshalStable
+		// gives for it: encoding/json ignores unknown keys, folds key case
+		// and keeps the last of duplicate keys.
+		{"unknown key only", `{"oops":1}`, metricsJSON},
+		{"empty object", `{}`, metricsJSON},
+		{"case-folded key", `{"ID":"fig1"}`, metricsJSON},
+		{"duplicate key", `{"id":"x","id":"y"}`, metricsJSON},
+		{"unknown key in canonical layout", strings.Replace(result, "{", "{\n  \"oops\": 1,", 1), metricsJSON},
+		{"case-folded key in canonical layout", strings.Replace(result, `"id"`, `"ID"`, 1), metricsJSON},
+		{"compact layout", `{"id":"x","title":""}`, metricsJSON},
+		{"keys reordered", "{\n  \"title\": \"\",\n  \"id\": \"x\"\n}\n", metricsJSON},
+		{"no final newline", strings.TrimSuffix(result, "\n"), metricsJSON},
+		{"extra final newline", result + "\n", metricsJSON},
+		{"empty tables spelled out", strings.Replace(result, "\"\"\n}", "\"\",\n  \"tables\": []\n}", 1), metricsJSON},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

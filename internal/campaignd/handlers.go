@@ -278,7 +278,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	leaseID := r.PathValue("id")
 	ctx := obs.WithLeaseID(r.Context(), leaseID)
-	l, live := s.leases.Remove(leaseID)
+	// The lease stays in the table until the upload commits: a refused
+	// upload (409, 422, or a failed Put) leaves the worker its lease, so
+	// a corrected re-upload within the TTL still counts as on time.
+	l := s.leases.Lookup(leaseID)
 	var unit campaign.Unit
 	switch {
 	case l != nil:
@@ -320,14 +323,19 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	sp = unit.Span("commit", uploadEnd, commitEnd)
 	sp.Worker = worker
 	s.record(sp)
-	lost := l == nil || !live
+	// Only a committed upload ends the lease. One swept since the lookup
+	// is already gone, its "expired" span recorded, and this upload late.
+	lost := true
+	if l != nil {
+		if held, live := s.leases.Remove(leaseID); held != nil {
+			lost = !live
+			s.record(held.span(commitEnd, map[bool]string{true: "late", false: "completed"}[lost]))
+		}
+	}
 	if lost {
 		s.stats.lateCompletes.Add(1)
 	} else {
 		s.stats.leasesCompleted.Add(1)
-	}
-	if l != nil {
-		s.record(l.span(commitEnd, map[bool]string{true: "late", false: "completed"}[lost]))
 	}
 	s.logger.InfoContext(ctx, "committed unit",
 		"artifact", unit.Artifact, "key", unit.Key[:12], "worker", worker, "lease_lost", lost)

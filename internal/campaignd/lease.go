@@ -119,8 +119,16 @@ func (t *leaseTable) Heartbeat(id string) (time.Duration, string, bool) {
 	return t.ttl, l.Worker, true
 }
 
+// Lookup returns the lease, live or expired but not yet swept, without
+// removing it; nil if the table does not hold it.
+func (t *leaseTable) Lookup(id string) *Lease {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byID[id]
+}
+
 // Remove takes the lease out of the table (complete or fail), returning
-// it if it was still live.
+// it and whether it was still live.
 func (t *leaseTable) Remove(id string) (*Lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -387,10 +387,11 @@ func TestServerBoundsClientStringsInJournal(t *testing.T) {
 }
 
 // TestServerRejectsCorruptUpload uploads malformed payloads for a leased
-// unit: each must be answered 422 with nothing committed, and the
-// well-formed upload that follows must still commit.
+// unit: each must be answered 422 with nothing committed and the lease
+// left to the worker, and the well-formed upload that follows must
+// commit on time, under that lease.
 func TestServerRejectsCorruptUpload(t *testing.T) {
-	_, ts, store := newTestServer(t, 0, nil)
+	srv, ts, store := newTestServer(t, time.Minute, nil)
 	spec := testSpec()
 	var doc CampaignDoc
 	doJSON(t, "POST", ts.URL+"/v1/campaigns", spec, &doc, 200)
@@ -406,9 +407,15 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	}
 	complete := ts.URL + "/v1/leases/" + lr.Lease.LeaseID + "/complete"
 
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, result); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct{ name, result, metrics string }{
 		{"result not json", "not json", string(metrics)},
 		{"result trailing junk", string(result) + " trailing junk", string(metrics)},
+		{"result unknown key", strings.Replace(string(result), "{", `{"oops": 1,`, 1), string(metrics)},
+		{"result not canonical", compact.String(), string(metrics)},
 		{"metrics trailing value", string(result), `[] {"oops":1}`},
 		{"null snapshot", string(result), "[null]"},
 	}
@@ -422,12 +429,21 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 			if store.Has(unit.Key) {
 				t.Fatal("corrupt upload reached the store")
 			}
+			if !srv.leases.HasKey(unit.Key) {
+				t.Fatal("refused upload dropped the live lease")
+			}
 		})
 	}
 	var cr CompleteResponse
 	doJSON(t, "POST", complete, CompleteRequest{Key: unit.Key, Result: string(result), Metrics: string(metrics)}, &cr, 200)
-	if !cr.Committed || !store.Has(unit.Key) {
-		t.Errorf("well-formed upload after the rejects: %+v", cr)
+	if !cr.Committed || cr.LeaseLost || !store.Has(unit.Key) {
+		t.Errorf("well-formed upload after the rejects: %+v, want committed with the lease held", cr)
+	}
+	if done, late := srv.stats.leasesCompleted.Value(), srv.stats.lateCompletes.Value(); done != 1 || late != 0 {
+		t.Errorf("completed %d, late %d; want 1 and 0", done, late)
+	}
+	if srv.leases.HasKey(unit.Key) {
+		t.Error("committed upload left its lease in the table")
 	}
 }
 

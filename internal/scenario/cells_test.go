@@ -184,3 +184,26 @@ func TestLargeMultiBSSWorld(t *testing.T) {
 		t.Fatalf("AP1 has %d neighbors; scoping failed to clip the world", n)
 	}
 }
+
+// BenchmarkBuildCellsDense times world construction alone for perfbench's
+// dense grid: 100 cells × 20 stations on channels 1/6/11 (2,100 radios,
+// 2,000 CBR flows), about 4,100 RNG streams to seed.
+func BenchmarkBuildCellsDense(b *testing.B) {
+	prop := phys.GRCPropagation()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := BuildCells(CellsConfig{
+			Config: Config{Seed: int64(i + 1), Propagation: &prop},
+			Topology: TopologySpec{
+				NumCells:        100,
+				ChannelPlan:     []int{1, 6, 11},
+				DefaultStations: 20,
+				DefaultUplink:   5,
+			},
+			CBRRateBps: 2e5,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -168,7 +168,7 @@ func (s *Scheduler) RNG() *rand.Rand {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return NewRand(int64(z))
 }
 
 // alloc hands out an event from the freelist, growing the slab by one

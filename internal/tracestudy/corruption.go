@@ -13,9 +13,9 @@ package tracestudy
 
 import (
 	"fmt"
-	"math/rand"
 
 	"greedy80211/internal/phys"
+	"greedy80211/internal/sim"
 )
 
 // CorruptionStudyConfig parameterizes a Table I reproduction.
@@ -52,7 +52,7 @@ func RunCorruptionStudy(cfg CorruptionStudyConfig) (CorruptionStudyResult, error
 	if cfg.Process == nil {
 		return CorruptionStudyResult{}, fmt.Errorf("tracestudy: nil error process")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := sim.NewRand(cfg.Seed)
 	res := CorruptionStudyResult{Received: cfg.Frames}
 	for i := 0; i < cfg.Frames; i++ {
 		c := cfg.Process.CorruptFrame(rng, cfg.FrameBytes)

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"greedy80211/internal/phys"
+	"greedy80211/internal/sim"
 )
 
 // RSSIStudyConfig parameterizes the Fig 21/22 reproduction: nodes spread
@@ -72,7 +73,7 @@ func buildRSSIWorld(cfg RSSIStudyConfig) (*rssiWorld, []float64, error) {
 	}
 	w := &rssiWorld{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   sim.NewRand(cfg.Seed),
 		links: make(map[[2]int]*link),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
