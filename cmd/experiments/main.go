@@ -8,12 +8,18 @@
 //	experiments -run fig4,fig5 -seeds 5 -duration 5s
 //	experiments -artifact fig2 -metrics fig2_metrics.jsonl
 //	experiments -run all -json out/ -metrics out/metrics.jsonl
+//	experiments -run fig1 -quick -trace traces/
 //	experiments -analytic fig2
 //
 // -run accepts a single id, a comma-separated list, or "all". A failing
 // artifact does not abort the rest of the campaign: every requested
 // artifact is attempted, a pass/fail summary is printed when more than
 // one ran, and the exit status is nonzero if any failed.
+//
+// -trace <dir> records every world with the flight recorder and checks
+// the 802.11 access invariants live over each one. An artifact whose
+// worlds break an invariant still writes its files, lists the
+// violations on stderr and counts as failed.
 package main
 
 import (
@@ -65,7 +71,7 @@ func run(args []string) int {
 		metricsOut = fs.String("metrics", "",
 			"write a per-station telemetry sidecar to this file (.csv for CSV, else JSONL); identical for any -parallel value")
 		traceDir = fs.String("trace", "",
-			"attach a flight recorder to every world and write per-run JSONL traces + ASCII timelines into this directory; identical for any -parallel value")
+			"attach a flight recorder and invariant checker to every world and write per-run JSONL traces + ASCII timelines into this directory; violations fail the artifact; identical for any -parallel value")
 		traceCap = fs.Int("trace-cap", 0, "flight-recorder ring capacity in events per run (default 4096)")
 		version  = versionflag.Register(fs)
 		prof     = profileflags.Register(fs)
@@ -145,12 +151,20 @@ func run(args []string) int {
 		}
 		fmt.Print(res.String())
 		if cfg.Trace != nil {
-			paths, err := trace.ExportDir(*traceDir, art, cfg.Trace.Recordings())
+			recs := cfg.Trace.Recordings()
+			paths, err := trace.ExportDir(*traceDir, art, recs)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				return 1
 			}
 			fmt.Printf("%d trace files written to %s\n", len(paths), *traceDir)
+			if n := cfg.Trace.ViolationCount(); n > 0 {
+				fmt.Fprintf(os.Stderr, "experiments: %s: %d invariant violations:\n", art, n)
+				for _, v := range trace.Violations(recs) {
+					fmt.Fprintln(os.Stderr, v)
+				}
+				failed = append(failed, art)
+			}
 		}
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, res); err != nil {

@@ -1,12 +1,20 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"greedy80211/internal/experiments"
+	"greedy80211/internal/mac"
+	"greedy80211/internal/sim"
+	"greedy80211/internal/trace"
 )
 
 func TestRunExitCodes(t *testing.T) {
@@ -72,5 +80,103 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 	}
 	if len(attempted) != 3 {
 		t.Errorf("attempted %v, want all three artifacts", attempted)
+	}
+}
+
+// A recording that breaks an invariant fails its artifact: its trace
+// files are still written, the violation is listed on stderr, and the
+// exit status is 1.
+func TestTraceViolationFailsArtifact(t *testing.T) {
+	real := runArtifact
+	defer func() { runArtifact = real }()
+	runArtifact = func(id string, cfg experiments.RunConfig) (*experiments.Result, error) {
+		res, err := real(id, cfg)
+		// One world whose station wins contention under its own NAV.
+		rec := cfg.Trace.Start(7)
+		rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeNAVUpdate, At: 0, Station: 1, Until: sim.Second})
+		rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeTxContend, At: 100 * sim.Microsecond,
+			Station: 1, Frame: mac.FrameRTS, Dst: 2})
+		return res, err
+	}
+	dir := t.TempDir()
+	stderr, got := captureStderr(t, func() int { return run([]string{"-run", "tab3", "-trace", dir}) })
+	if got != 1 {
+		t.Errorf("run with a violating recording exited %d, want 1", got)
+	}
+	if !strings.Contains(stderr, "seed=7 "+trace.InvNAV) {
+		t.Errorf("stderr does not list the violation:\n%s", stderr)
+	}
+	for _, name := range []string{"tab3_run0_seed7.trace.jsonl", "tab3_run0_seed7.timeline.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("trace file not written: %v", err)
+		}
+	}
+}
+
+// captureStderr runs f with os.Stderr redirected and returns what it
+// wrote there along with f's result.
+func captureStderr(t *testing.T, f func() int) (string, int) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	code := f()
+	os.Stderr = saved
+	w.Close()
+	return <-out, code
+}
+
+// exportGolden is the SHA-256 over the files TestExportIdentityGolden
+// writes, taken in name order (file name, then contents, per file). The
+// flight recorder's canonical order is part of the byte-identity
+// contract: a change to the merge or to the recording order must leave
+// this hash alone.
+const exportGolden = "730e5d0dd98fcbfc908245b08198511855df68da7cbc4100634837c19e71f6f5"
+
+// TestExportIdentityGolden pins a -trace export byte for byte. fig18
+// at this profile records two pairs of worlds whose streams are
+// identical (same seed, same world from two sweep points), so the
+// collector's content tie-break runs to full depth, and the small
+// -trace-cap makes every ring wrap.
+func TestExportIdentityGolden(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-run", "fig18", "-quick", "-seeds", "2",
+		"-duration", "200ms", "-trace-cap", "256", "-trace", dir}
+	if got := run(args); got != 0 {
+		t.Fatalf("experiments -trace = %d, want 0", got)
+	}
+	entries, err := os.ReadDir(dir) // sorted by file name
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	bodies := make(map[string]int)
+	for _, e := range entries {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%d\n", e.Name(), len(body))
+		h.Write(body)
+		if strings.HasSuffix(e.Name(), ".trace.jsonl") {
+			bodies[string(body)]++
+		}
+	}
+	if len(entries) != 24 {
+		t.Errorf("exported %d files, want 24 (12 worlds)", len(entries))
+	}
+	if len(bodies) == len(entries)/2 {
+		t.Error("no two recordings are identical; the profile no longer exercises a full-depth tie")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != exportGolden {
+		t.Errorf("export hash = %s, want %s", got, exportGolden)
 	}
 }

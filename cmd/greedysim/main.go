@@ -71,7 +71,7 @@ func run(args []string) int {
 		runs      = fs.Int("runs", 0, "seeded repetitions (default 5, median reported)")
 		seed      = fs.Int64("seed", 1, "base seed")
 		traceDir  = fs.String("trace", "",
-			"attach a flight recorder to every run, write JSONL traces + ASCII timelines into this directory, and print channel airtime accounting")
+			"attach a flight recorder and invariant checker to every run, write JSONL traces + ASCII timelines into this directory, and print channel airtime accounting; violations exit 1")
 		traceCap = fs.Int("trace-cap", 0, "flight-recorder ring capacity in events per run (default 4096)")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"worker-pool size for seeded repetitions; 1 = sequential (output is identical either way)")
@@ -295,6 +295,13 @@ func run(args []string) int {
 			fmt.Print(recs[0].Recorder.Summary(rc.Duration))
 		}
 		fmt.Printf("%d trace files written to %s\n", len(paths), *traceDir)
+		if n := rc.Trace.ViolationCount(); n > 0 {
+			fmt.Fprintf(os.Stderr, "greedysim: %d invariant violations:\n", n)
+			for _, v := range trace.Violations(recs) {
+				fmt.Fprintln(os.Stderr, v)
+			}
+			return 1
+		}
 	}
 	return 0
 }

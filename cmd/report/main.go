@@ -136,7 +136,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "report: %d gating verdicts — reproduction gate FAILED\n", n)
 		if *traceOnFail != "" {
 			ids := rep.FailedArtifacts(*strict)
-			paths, err := report.CaptureTraces(rep.Config, ids, *traceOnFail, 0)
+			paths, err := report.CaptureTraces(rep.Config, ids, *traceOnFail)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "report: capturing traces: %v\n", err)
 			}

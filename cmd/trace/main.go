@@ -1,11 +1,11 @@
-// Command trace drives the simulator's flight recorder: it records runs,
-// renders recorded traces, converts them to other formats, and checks the
-// 802.11 access invariants over them.
+// Command trace reads the simulator's flight-recorder files: it renders
+// recorded traces, converts them to other formats, and checks the 802.11
+// access invariants over them. Traces are recorded by the simulating
+// commands' -trace flag (experiments -run <id> -trace <dir>, greedysim
+// -trace <dir>), which check every world live as it runs.
 //
 // Usage:
 //
-//	trace run -artifact fig1 -o traces/            # record an artifact's worlds
-//	trace run -artifact fig1 -quick -o traces/
 //	trace render traces/fig1_run0_seed1.trace.jsonl          # ASCII timeline
 //	trace render -format text traces/fig1_run0_seed1.trace.jsonl
 //	trace export -format chrome -o fig1.json traces/fig1_run0_seed1.trace.jsonl
@@ -15,8 +15,6 @@
 //
 // Subcommands:
 //
-//	run     record one artifact's worlds (JSONL + timeline per run, with
-//	        the invariant checker attached)
 //	render  print a recorded trace as an ASCII timeline or event log
 //	export  convert a recorded trace to Chrome trace-event JSON
 //	        (load in ui.perfetto.dev or chrome://tracing) or a timeline
@@ -45,8 +43,7 @@ func main() {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: trace <run|render|export|check> [flags]")
-	fmt.Fprintln(w, "  run     -artifact <id> [-o dir] [-seeds N] [-duration D] [-quick] [-cap N]")
+	fmt.Fprintln(w, "usage: trace <render|export|check> [flags]")
 	fmt.Fprintln(w, "  render  [-format timeline|text] [-width N] <file.trace.jsonl>")
 	fmt.Fprintln(w, "  export  [-format chrome|timeline] [-o file] <file.trace.jsonl>")
 	fmt.Fprintln(w, "  check   [file.trace.jsonl ...]   (no files: run the gated artifacts live)")
@@ -58,8 +55,6 @@ func run(args []string) int {
 		return 2
 	}
 	switch args[0] {
-	case "run":
-		return cmdRun(args[1:])
 	case "render":
 		return cmdRender(args[1:])
 	case "export":
@@ -83,63 +78,6 @@ func run(args []string) int {
 func fail(err error) int {
 	fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 	return 1
-}
-
-// cmdRun records one artifact's worlds with the checker attached.
-func cmdRun(args []string) int {
-	fs := flag.NewFlagSet("trace run", flag.ContinueOnError)
-	var (
-		artifact = fs.String("artifact", "", "artifact id to run (fig1..fig24, tab1..tab9, extc)")
-		out      = fs.String("o", "traces", "output directory for JSONL traces and timelines")
-		seeds    = fs.Int("seeds", 0, "seeded repetitions (default 5)")
-		baseSeed = fs.Int64("seed", 0, "base seed")
-		duration = fs.Duration("duration", 0, "simulated time per run (default 5s)")
-		quick    = fs.Bool("quick", false, "1 seed, 2s runs, trimmed sweeps")
-		capacity = fs.Int("cap", 0, "flight-recorder ring capacity in events per run (default 4096)")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
-			"worker-pool size; 1 = sequential (trace output is identical either way)")
-		version = versionflag.Register(fs)
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if versionflag.Handle(version, os.Stdout, "trace") {
-		return 0
-	}
-	if *artifact == "" {
-		fmt.Fprintln(os.Stderr, "trace run: -artifact required")
-		return 2
-	}
-	runner.SetLimit(*parallel)
-	coll := trace.NewCollector(*capacity)
-	coll.EnableChecks()
-	cfg := experiments.RunConfig{
-		Seeds:    *seeds,
-		BaseSeed: *baseSeed,
-		Duration: sim.Time(duration.Nanoseconds()),
-		Quick:    *quick,
-		Trace:    coll,
-	}
-	start := time.Now()
-	if _, err := experiments.Run(*artifact, cfg); err != nil {
-		return fail(err)
-	}
-	recs := coll.Recordings()
-	paths, err := trace.ExportDir(*out, *artifact, recs)
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Printf("%s: %d worlds recorded in %.1fs, %d files written to %s\n",
-		*artifact, len(recs), time.Since(start).Seconds(), len(paths), *out)
-	if n := coll.ViolationCount(); n > 0 {
-		fmt.Fprintf(os.Stderr, "trace: %d invariant violations:\n", n)
-		for _, v := range trace.Violations(recs) {
-			fmt.Fprintln(os.Stderr, v)
-		}
-		return 1
-	}
-	fmt.Println("invariants: clean")
-	return 0
 }
 
 func readTrace(path string) (trace.Meta, []trace.Event, error) {
@@ -235,10 +173,7 @@ func cmdExport(args []string) int {
 // profile (the same worlds the reproduction numbers come from).
 func cmdCheck(args []string) int {
 	fs := flag.NewFlagSet("trace check", flag.ContinueOnError)
-	var (
-		capacity = fs.Int("cap", 0, "flight-recorder ring capacity per run in live mode (default 4096)")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size in live mode")
-	)
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size in live mode")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -262,8 +197,7 @@ func cmdCheck(args []string) int {
 		len(sets), cfg.Seeds, cfg.Duration)
 	bad := 0
 	for _, id := range report.Artifacts(sets) {
-		coll := trace.NewCollector(*capacity)
-		coll.EnableChecks()
+		coll := trace.NewCollector(0)
 		rc := base
 		rc.Trace = coll
 		start := time.Now()
@@ -309,7 +243,7 @@ func checkFiles(paths []string) int {
 			}
 			if meta.Dropped > 0 {
 				fmt.Fprintf(os.Stderr, "  note: ring dropped %d events; a truncated stream can "+
-					"produce spurious violations — re-record with a larger -cap\n", meta.Dropped)
+					"produce spurious violations — re-record with a larger -trace-cap\n", meta.Dropped)
 			}
 		} else {
 			fmt.Printf("%s: %d events, clean\n", path, len(events))

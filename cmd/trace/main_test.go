@@ -1,13 +1,12 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"greedy80211/internal/experiments"
+	"greedy80211/internal/trace"
 )
 
 func TestUsageAndBadArgs(t *testing.T) {
@@ -19,8 +18,8 @@ func TestUsageAndBadArgs(t *testing.T) {
 		{"no args", nil, 2},
 		{"unknown subcommand", []string{"bogus"}, 2},
 		{"help", []string{"help"}, 0},
-		{"run without artifact", []string{"run"}, 2},
-		{"run bad flag", []string{"run", "-nope"}, 2},
+		// Recording lives in experiments -trace; run is no subcommand.
+		{"run is gone", []string{"run", "-artifact", "fig1"}, 2},
 		{"render without file", []string{"render"}, 2},
 		{"render missing file", []string{"render", "/nonexistent/x.jsonl"}, 1},
 		// The file is read before the format is validated, so an empty
@@ -38,12 +37,20 @@ func TestUsageAndBadArgs(t *testing.T) {
 	}
 }
 
-// TestRunRenderExportCheckRoundTrip records a quick artifact and pushes
-// the resulting file through every other subcommand.
+// TestRunRenderExportCheckRoundTrip records a quick artifact the way
+// experiments -trace does and pushes the resulting file through every
+// subcommand.
 func TestRunRenderExportCheckRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if got := run([]string{"run", "-artifact", "fig1", "-quick", "-o", dir}); got != 0 {
-		t.Fatalf("trace run = %d, want 0", got)
+	coll := trace.NewCollector(0)
+	if _, err := experiments.Run("fig1", experiments.RunConfig{Quick: true, Trace: coll}); err != nil {
+		t.Fatal(err)
+	}
+	if n := coll.ViolationCount(); n != 0 {
+		t.Fatalf("recording found %d invariant violations, want 0", n)
+	}
+	if _, err := trace.ExportDir(dir, "fig1", coll.Recordings()); err != nil {
+		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "fig1_run*_seed*.trace.jsonl"))
 	if err != nil || len(matches) == 0 {
@@ -70,52 +77,5 @@ func TestRunRenderExportCheckRoundTrip(t *testing.T) {
 	}
 	if got := run([]string{"check", file}); got != 0 {
 		t.Errorf("check on a recorded file = %d, want 0 (clean)", got)
-	}
-}
-
-// exportGolden is the SHA-256 over the files TestExportIdentityGolden
-// writes, taken in name order (file name, then contents, per file). The
-// flight recorder's canonical order is part of the byte-identity
-// contract: a change to the merge or to the recording order must leave
-// this hash alone.
-const exportGolden = "730e5d0dd98fcbfc908245b08198511855df68da7cbc4100634837c19e71f6f5"
-
-// TestExportIdentityGolden pins a `trace run` export byte for byte. fig18
-// at this profile records two pairs of worlds whose streams are
-// identical (same seed, same world from two sweep points), so the
-// collector's content tie-break runs to full depth, and the small -cap
-// makes every ring wrap.
-func TestExportIdentityGolden(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"run", "-artifact", "fig18", "-quick", "-seeds", "2",
-		"-duration", "200ms", "-cap", "256", "-o", dir}
-	if got := run(args); got != 0 {
-		t.Fatalf("trace run = %d, want 0", got)
-	}
-	entries, err := os.ReadDir(dir) // sorted by file name
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	bodies := make(map[string]int)
-	for _, e := range entries {
-		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s\n%d\n", e.Name(), len(body))
-		h.Write(body)
-		if strings.HasSuffix(e.Name(), ".trace.jsonl") {
-			bodies[string(body)]++
-		}
-	}
-	if len(entries) != 24 {
-		t.Errorf("exported %d files, want 24 (12 worlds)", len(entries))
-	}
-	if len(bodies) == len(entries)/2 {
-		t.Error("no two recordings are identical; the profile no longer exercises a full-depth tie")
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != exportGolden {
-		t.Errorf("export hash = %s, want %s", got, exportGolden)
 	}
 }

@@ -262,11 +262,12 @@ func DefaultWorkerName() string {
 // Work pulls leases from the campaign until the server says it is done
 // or ctx is cancelled. Each leased unit is key-verified against the
 // local binary (refusing on module-fingerprint skew), computed with a
-// background heartbeat at TTL/3, and uploaded. Compute errors are
-// reported via Fail and the loop moves on — the server retires units
-// that fail repeatedly. A cancelled ctx abandons the in-flight unit
-// silently: its lease expires on the server and the unit is re-issued,
-// which is exactly the dead-worker path.
+// background heartbeat at TTL/3, and uploaded. Compute errors and
+// uploads the server refuses (4xx) are reported via Fail and the loop
+// moves on — the server retires units that fail repeatedly. A cancelled
+// ctx abandons the in-flight unit silently: its lease expires on the
+// server and the unit is re-issued, which is exactly the dead-worker
+// path.
 func (c *Client) Work(ctx context.Context, campaignID, worker string) (WorkStats, error) {
 	if worker == "" {
 		worker = DefaultWorkerName()
@@ -351,12 +352,7 @@ func (c *Client) computeLease(ctx context.Context, grant *campaignd.LeaseGrant, 
 	result, metrics, err := campaign.ComputeUnit(unit)
 	stopHB()
 	if err != nil {
-		stats.Failed++
-		c.log().WarnContext(ctx, "unit failed", "unit", wu.Name, "error", err)
-		if ferr := c.Fail(context.WithoutCancel(ctx), grant.LeaseID, err); ferr != nil && !IsNotFound(ferr) {
-			return ferr
-		}
-		return nil
+		return c.failUnit(ctx, grant, stats, err)
 	}
 	select {
 	case <-hbLost:
@@ -366,6 +362,13 @@ func (c *Client) computeLease(ctx context.Context, grant *campaignd.LeaseGrant, 
 	default:
 	}
 	cresp, err := c.Complete(ctx, grant.LeaseID, wu.Key, result, metrics)
+	var refused *apiError
+	if asAPIError(err, &refused) {
+		// The server refused this upload (a 409 key mismatch, a 422
+		// payload): uploading the same bytes again cannot help, so it
+		// is a unit failure, counted toward the server's retry budget.
+		return c.failUnit(ctx, grant, stats, fmt.Errorf("uploading %s: %w", wu.Name, err))
+	}
 	if err != nil {
 		return fmt.Errorf("uploading %s: %w", wu.Name, err)
 	}
@@ -374,6 +377,19 @@ func (c *Client) computeLease(ctx context.Context, grant *campaignd.LeaseGrant, 
 		c.log().InfoContext(ctx, "committed after lease loss (still counted)", "unit", wu.Name)
 	} else {
 		c.log().InfoContext(ctx, "committed unit", "unit", wu.Name)
+	}
+	return nil
+}
+
+// failUnit counts a unit this worker could not deliver and reports it
+// via Fail, releasing the lease so the server can re-issue the unit or
+// retire it once it has failed too often. Only a Fail the server could
+// not take ends the Work loop.
+func (c *Client) failUnit(ctx context.Context, grant *campaignd.LeaseGrant, stats *WorkStats, err error) error {
+	stats.Failed++
+	c.log().WarnContext(ctx, "unit failed", "unit", grant.Unit.Name, "error", err)
+	if ferr := c.Fail(context.WithoutCancel(ctx), grant.LeaseID, err); ferr != nil && !IsNotFound(ferr) {
+		return ferr
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,6 +67,58 @@ func TestClientDoesNotRetryDeliberateRejections(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("attempts = %d; 4xx must not be retried", got)
+	}
+}
+
+// TestWorkerSurvivesRefusedUpload: a server that refuses every upload
+// with a 422 must not stop the worker. Each refusal is reported as a
+// unit failure, the worker leases the unit again, and once the server
+// retires the unit Work returns the failed-beyond-retry error, not the
+// upload error.
+func TestWorkerSurvivesRefusedUpload(t *testing.T) {
+	store, err := campaign.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := campaignd.New(campaignd.Config{
+		Store:           store,
+		MaxUnitFailures: 2,
+		Logger:          obs.LogfLogger(t.Logf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var refused atomic.Int64
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			refused.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			json.NewEncoder(w).Encode(campaignd.ErrorDoc{Error: "corrupt upload"})
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx := context.Background()
+	c := &client.Client{BaseURL: ts.URL, RetryBase: time.Millisecond, Logger: obs.LogfLogger(t.Logf)}
+	doc, err := c.Submit(ctx, &campaign.Spec{
+		Artifacts: []string{"tab3"},
+		Config:    campaign.SpecConfig{Seeds: 1, Duration: "100ms", Quick: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wstats, err := c.Work(ctx, doc.ID, "refused-worker")
+	if err == nil || !strings.Contains(err.Error(), "failed beyond retry") {
+		t.Fatalf("Work = %v, want the failed-beyond-retry error (stats %+v)", err, wstats)
+	}
+	if wstats.Failed != 2 || wstats.Computed != 0 || refused.Load() != 2 {
+		t.Errorf("stats %+v after %d refused uploads, want 2 failed, 0 computed, 2 refusals",
+			wstats, refused.Load())
 	}
 }
 

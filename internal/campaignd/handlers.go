@@ -507,6 +507,10 @@ func (s *Server) renderTrace(key, format string) ([]byte, error) {
 	if _, err := experiments.Run(meta.Artifact, rc); err != nil {
 		return nil, fmt.Errorf("campaignd: tracing %s: %w", meta.Artifact, err)
 	}
+	if n := coll.ViolationCount(); n > 0 {
+		s.logger.Warn("traced re-simulation breaks 802.11 access invariants",
+			"artifact", meta.Artifact, "object", key, "violations", n)
+	}
 	var buf bytes.Buffer
 	recs := coll.Recordings()
 	if len(recs) == 0 && format != "jsonl" {

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"greedy80211/internal/runner"
+	"greedy80211/internal/sim"
 	"greedy80211/internal/trace"
 )
 
@@ -71,5 +73,24 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 	if bare.String() != got.String() {
 		t.Errorf("tracing changed fig1 output:\n--- bare ---\n%s\n--- traced ---\n%s",
 			bare.String(), got.String())
+	}
+}
+
+// TestWiredSenderWorldKeepsIFSSpacing: in fig16's wired-sender world a
+// TCP segment reaches the AP at the very nanosecond its own CTS ends
+// (seed 3, 44,704,019,307 ns). The AP must defer DIFS plus a backoff
+// rather than send an RTS on top of the DATA its CTS asked for.
+func TestWiredSenderWorldKeepsIFSSpacing(t *testing.T) {
+	w, err := remoteSenders(3, 400*sim.Millisecond, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll := trace.NewCollector(0)
+	rec := coll.Start(3)
+	w.AttachTrace(rec, rec)
+	w.Run(45 * sim.Second)
+	if n := coll.ViolationCount(); n != 0 {
+		t.Errorf("%d invariant violations, want 0:\n%s", n,
+			strings.Join(trace.Violations(coll.Recordings()), "\n"))
 	}
 }

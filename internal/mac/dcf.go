@@ -246,7 +246,7 @@ func (d *DCF) Send(dst NodeID, payload any, payloadBytes int) bool {
 		// when the medium has been idle for at least an IFS; a packet
 		// arriving to a busy (or too-recently-busy) medium owes a backoff.
 		if !d.needBackoff &&
-			(!d.mediumIdle() || d.sched.Now() < d.lastBusyEnd+d.currentIFS()) {
+			(!d.mediumIdle() || d.sched.Now() < d.idleSince()+d.currentIFS()) {
 			d.needBackoff = true
 			d.drawPending = true
 		}
@@ -261,6 +261,12 @@ func (d *DCF) mediumIdle() bool {
 	now := d.sched.Now()
 	return !d.busyPhys && now >= d.txUntil && now >= d.navUntil
 }
+
+// idleSince reports when the medium last went idle. lastBusyEnd alone
+// lags the end of the station's own transmission until the tx timer
+// runs onTxDone, and a handler dispatched at that same instant ahead of
+// the timer (an upper-layer Send) must not see the stale value.
+func (d *DCF) idleSince() sim.Time { return max(d.lastBusyEnd, d.txUntil) }
 
 // refresh recomputes the idle/busy view of the medium and reacts to
 // transitions. It is called after any change to the inputs of mediumIdle.
@@ -403,7 +409,7 @@ func (d *DCF) kickAccess() {
 		return // countdown already in progress; let it run
 	}
 	now := d.sched.Now()
-	ifsEnd := d.lastBusyEnd + d.currentIFS()
+	ifsEnd := d.idleSince() + d.currentIFS()
 	if now < ifsEnd {
 		d.inCountdown = false
 		if d.probe != nil {

@@ -268,3 +268,37 @@ func TestBackoffFreezeDefersTransmission(t *testing.T) {
 		}
 	}
 }
+
+// A packet handed down at the very instant the station's own response
+// ends, dispatched ahead of the station's tx timer, arrives to a medium
+// that has not been idle at all: it owes DIFS plus a backoff (§9.2.5.1),
+// not an immediate transmission on top of the exchange the CTS granted.
+func TestSendAtOwnResponseEndDefers(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		sched := sim.NewScheduler(seed)
+		ch := &timestampChannel{sched: sched}
+		p := phys.Params80211B()
+		d := New(sched, ch, &recordingUpper{}, Config{ID: 2, Params: p})
+
+		ctsEnd := p.SIFS + p.TxDuration(phys.CTSFrameBytes, p.BasicRateBps)
+		// Queued before the CTS arms the tx timer, so at ctsEnd this
+		// event dispatches first and sees the station's stale busy end.
+		sched.At(ctsEnd, func() { d.Send(3, nil, 1024) })
+		d.RxEnd(&Frame{Type: FrameRTS, Src: 1, Dst: 2, Duration: 3 * sim.Millisecond, MACBytes: phys.RTSFrameBytes},
+			RxInfo{Decoded: true, RSSIDBm: -50})
+		sched.RunUntil(20 * sim.Millisecond)
+
+		if len(ch.sent) < 2 || ch.sent[0].Type != FrameCTS || ch.sent[1].Type != FrameData {
+			t.Fatalf("seed %d: sent %v, want CTS then DATA", seed, ch.sent)
+		}
+		if ch.at[0]+p.TxDuration(phys.CTSFrameBytes, p.BasicRateBps) != ctsEnd {
+			t.Fatalf("seed %d: CTS at %v does not end at %v", seed, ch.at[0], ctsEnd)
+		}
+		min := ctsEnd + p.DIFS()
+		max := min + sim.Time(p.CWMin)*p.SlotTime
+		if tx := ch.at[1]; tx < min || tx > max {
+			t.Errorf("seed %d: DATA at %v, want within [%v, %v] (DIFS plus a backoff after the CTS)",
+				seed, tx, min, max)
+		}
+	}
+}

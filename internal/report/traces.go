@@ -35,15 +35,14 @@ func (r *Report) FailedArtifacts(strict bool) []string {
 // the same seeds and duration the gate measured at, and probe emission
 // does not perturb the simulation, so the traces show exactly the runs
 // that produced the gated numbers.
-func CaptureTraces(cfg Config, artifacts []string, dir string, capacity int) ([]string, error) {
+func CaptureTraces(cfg Config, artifacts []string, dir string) ([]string, error) {
 	base, err := cfg.RunConfig()
 	if err != nil {
 		return nil, err
 	}
 	var written []string
 	for _, id := range artifacts {
-		coll := trace.NewCollector(capacity)
-		coll.EnableChecks()
+		coll := trace.NewCollector(0)
 		rc := base
 		rc.Trace = coll
 		if _, err := experiments.Run(id, rc); err != nil {

@@ -52,7 +52,7 @@ func TestFailedArtifactsSelectsGatingVerdicts(t *testing.T) {
 func TestCaptureTracesWritesDumps(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Seeds: 1, Duration: "50ms", Quick: true}
-	paths, err := CaptureTraces(cfg, []string{"fig1"}, dir, 0)
+	paths, err := CaptureTraces(cfg, []string{"fig1"}, dir)
 	if err != nil {
 		t.Fatalf("CaptureTraces: %v", err)
 	}

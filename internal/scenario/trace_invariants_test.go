@@ -12,7 +12,6 @@ import (
 func runTraced(t *testing.T, cfg PairsConfig, d sim.Time) (*trace.Collector, *World) {
 	t.Helper()
 	coll := trace.NewCollector(0)
-	coll.EnableChecks()
 	w, err := BuildPairs(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 	"sync"
 )
 
-// Recording is one world's flight-recorder output plus its checker state.
+// Recording is one world's flight-recorder output; its recorder holds
+// the world's invariant checker.
 type Recording struct {
 	Seed     int64
 	Recorder *Recorder
-	Checker  *Checker // nil unless the collector has checks enabled
 }
 
 // Meta builds the export header for this recording.
@@ -22,12 +22,13 @@ func (r *Recording) Meta(label string) Meta {
 
 // Collector hands out one Recorder per simulated world and gathers the
 // results in a canonical order, so exports are byte-identical no matter
-// how many worlds ran concurrently. Start is safe to call from parallel
-// workers; each returned Recorder must stay within its own world.
+// how many worlds ran concurrently. Every recording carries an invariant
+// checker fed the full event stream by its recorder, so ring evictions
+// don't blind it. Start is safe to call from parallel workers; each
+// returned Recorder must stay within its own world.
 type Collector struct {
 	mu       sync.Mutex
 	capacity int
-	checks   bool
 	recs     []*Recording
 }
 
@@ -37,21 +38,16 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{capacity: capacity}
 }
 
-// EnableChecks attaches an invariant checker to every subsequently
-// started recording; the checker consumes the full event stream via the
-// recorder's sink, so ring evictions don't blind it.
-func (c *Collector) EnableChecks() { c.checks = true }
+// EnableChecks does nothing: every recording is checked. It remains
+// only because the benchmark harness under perfbench/ still calls it.
+func (c *Collector) EnableChecks() {}
 
 // Start registers a new recording for the given seed and returns its
 // recorder, ready to attach to a world.
 func (c *Collector) Start(seed int64) *Recorder {
 	rec := NewRecorder(c.capacity)
+	rec.checker = NewChecker(DefaultTiming())
 	r := &Recording{Seed: seed, Recorder: rec}
-	if c.checks {
-		r.Checker = NewChecker(DefaultTiming())
-		rec.SetSink(r.Checker.Feed)
-		rec.onTiming = r.Checker.SetTiming
-	}
 	c.mu.Lock()
 	c.recs = append(c.recs, r)
 	c.mu.Unlock()
@@ -80,10 +76,7 @@ func (c *Collector) Recordings() []*Recording {
 func Violations(recs []*Recording) []string {
 	var out []string
 	for _, r := range recs {
-		if r.Checker == nil {
-			continue
-		}
-		for _, v := range r.Checker.Violations() {
+		for _, v := range r.Recorder.checker.Violations() {
 			out = append(out, fmt.Sprintf("seed=%d %s", r.Seed, v))
 		}
 	}
@@ -96,9 +89,7 @@ func (c *Collector) ViolationCount() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, r := range c.recs {
-		if r.Checker != nil {
-			n += r.Checker.Count()
-		}
+		n += r.Recorder.checker.Count()
 	}
 	return n
 }

@@ -283,11 +283,10 @@ func TestCollectorCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestCollectorChecksWired: EnableChecks attaches a live checker fed by
-// the recorder sink, and violations surface with their seed.
+// TestCollectorChecksWired: every recording carries a live checker fed
+// by its recorder, and violations surface with their seed.
 func TestCollectorChecksWired(t *testing.T) {
 	c := NewCollector(16)
-	c.EnableChecks()
 	rec := c.Start(7)
 	// A NAV-ignoring transmission, delivered through the probe path.
 	rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeNAVUpdate, At: 0, Station: 1, Until: sim.Second})

@@ -118,9 +118,9 @@ type staState struct {
 }
 
 // Checker verifies 802.11 access invariants over one world's unified
-// trace stream. Feed events in scheduler order (a Recorder sink delivers
-// exactly that); the checker needs MAC-probe events, so channel-only
-// traces pass vacuously.
+// trace stream. Feed events in scheduler order (a Collector's recorder
+// delivers exactly that); the checker needs MAC-probe events, so
+// channel-only traces pass vacuously.
 type Checker struct {
 	timing Timing
 	// sta holds per-station state indexed by station id, grown on demand;
@@ -215,7 +215,7 @@ func (s *staState) markBusy(t sim.Time, e *Event) {
 
 // Feed consumes the next event in stream order. The checker reads *e
 // only during the call and copies what it keeps as evidence, so e may
-// point into storage the caller reuses (a Recorder sink passes its ring
+// point into storage the caller reuses (a Recorder passes its ring
 // slot).
 func (c *Checker) Feed(e *Event) {
 	if !c.seenAny {

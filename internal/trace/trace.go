@@ -238,14 +238,14 @@ type Recorder struct {
 	ring []Event // allocated at cap on the first event, then wraps
 	next int     // oldest slot once len(ring) == cap
 
-	total uint64       // count of events ever recorded
-	sink  func(*Event) // optional streaming consumer, sees every event
+	total uint64 // count of events ever recorded
+	// checker, set by the Collector that started this recorder, sees
+	// every event in record order regardless of ring evictions, and the
+	// world's band timing as soon as the recorder is attached.
+	checker *Checker
 
 	names  map[mac.NodeID]string
 	timing Timing
-	// onTiming, when set (by a Collector), hears about the world's band
-	// timing as soon as the recorder is attached.
-	onTiming func(Timing)
 
 	acc statsAccum
 }
@@ -307,13 +307,6 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// SetSink installs a streaming consumer that sees every event in order,
-// regardless of ring evictions — the invariant checker consumes the full
-// stream this way while the ring stays bounded. The pointee is the ring
-// slot the event was just recorded into, valid only during the call: a
-// later event may overwrite it, so the sink must copy what it keeps.
-func (r *Recorder) SetSink(fn func(*Event)) { r.sink = fn }
-
 // SetStationName registers a human-readable name used by the exporters.
 func (r *Recorder) SetStationName(id mac.NodeID, name string) {
 	if r.names == nil {
@@ -326,8 +319,8 @@ func (r *Recorder) SetStationName(id mac.NodeID, name string) {
 // scenario.World.AttachTrace calls it through a duck-typed hook.
 func (r *Recorder) SetParams(p phys.Params) {
 	r.timing = TimingFromParams(p)
-	if r.onTiming != nil {
-		r.onTiming(r.timing)
+	if r.checker != nil {
+		r.checker.SetTiming(r.timing)
 	}
 }
 
@@ -402,8 +395,8 @@ func (r *Recorder) OnTransmit(src mac.NodeID, f *mac.Frame, start, airtime sim.T
 	ev.EIFS = false
 	ev.Long = false
 	ev.OK = false
-	if r.sink != nil {
-		r.sink(ev)
+	if r.checker != nil {
+		r.checker.Feed(ev)
 	}
 	if t := int(f.Type); t >= 1 && t < frameTypeSlots {
 		r.acc.txCount[t]++
@@ -462,8 +455,8 @@ func (r *Recorder) OnReceive(dst mac.NodeID, f *mac.Frame, info mac.RxInfo, at s
 	ev.EIFS = false
 	ev.Long = false
 	ev.OK = false
-	if r.sink != nil {
-		r.sink(ev)
+	if r.checker != nil {
+		r.checker.Feed(ev)
 	}
 }
 
@@ -498,8 +491,8 @@ func (r *Recorder) OnMACEvent(pe *mac.ProbeEvent) {
 	ev.EIFS = pe.EIFS
 	ev.Long = pe.Long
 	ev.OK = pe.OK
-	if r.sink != nil {
-		r.sink(ev)
+	if r.checker != nil {
+		r.checker.Feed(ev)
 	}
 }
 

@@ -250,13 +250,12 @@ func checkReadOut(t *testing.T, ring, reference *Recorder, ringCap int) {
 }
 
 // TestFullRingRecordsWithoutAllocs: once the ring is full and the
-// checker has seen every station, recording through all three sites into
-// a Checker sink allocates nothing per event. Each round is a compliant
+// checker has seen every station, recording through all three sites with
+// the collector's checker attached allocates nothing per event. Each round is a compliant
 // DATA/ACK exchange, so both SIFS and contention checks run and pass.
 func TestFullRingRecordsWithoutAllocs(t *testing.T) {
 	const ringCap = 64
 	c := NewCollector(ringCap)
-	c.EnableChecks()
 	r := c.Start(1)
 	r.SetParams(phys.Params80211B())
 	sifs := r.Timing().SIFS
