@@ -6,7 +6,7 @@
 //	experiments -run fig1
 //	experiments -run all -quick
 //	experiments -run fig4,fig5 -seeds 5 -duration 5s
-//	experiments -artifact fig2 -metrics fig2_metrics.jsonl
+//	experiments -run fig2 -metrics fig2_metrics.jsonl
 //	experiments -run all -json out/ -metrics out/metrics.jsonl
 //	experiments -run fig1 -quick -trace traces/
 //	experiments -analytic fig2
@@ -17,12 +17,14 @@
 // one ran, and the exit status is nonzero if any failed.
 //
 // -trace <dir> records every world with the flight recorder and checks
-// the 802.11 access invariants live over each one. An artifact whose
-// worlds break an invariant still writes its files, lists the
-// violations on stderr and counts as failed.
+// the 802.11 access invariants live over each one; it is the one way to
+// record an artifact (trace check re-verifies the written files). An
+// artifact whose worlds break an invariant still writes its files, lists
+// the violations on stderr and counts as failed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,16 +50,19 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// runArtifact is experiments.Run, injectable so tests can exercise the
-// continue-past-failure path without a deliberately broken registry.
-var runArtifact = experiments.Run
+// runArtifact and runTraced are experiments.Run and RunTraced,
+// injectable so tests can exercise the failure paths without a
+// deliberately broken registry or simulator.
+var (
+	runArtifact = experiments.Run
+	runTraced   = experiments.RunTraced
+)
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		list         = fs.Bool("list", false, "list every artifact and exit")
 		id           = fs.String("run", "", "artifact id (fig1..fig24, tab1..tab9), comma-separated list, or \"all\"")
-		artifact     = fs.String("artifact", "", "alias for -run")
 		analyticMode = fs.Bool("analytic", false,
 			"print the Markov-chain analytic tier's predictions for the artifact(s) instead of simulating (no sweep, milliseconds instead of minutes)")
 		seeds    = fs.Int("seeds", 0, "seeded repetitions per data point (default 5, paper methodology)")
@@ -79,6 +84,10 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q; name artifacts with -run\n", fs.Arg(0))
+		return 2
+	}
 	if versionflag.Handle(version, os.Stdout, "experiments") {
 		return 0
 	}
@@ -94,12 +103,6 @@ func run(args []string) int {
 			fmt.Printf("%-6s %s\n", reg.ID, reg.Title)
 		}
 		return 0
-	}
-	if *id == "" {
-		*id = *artifact
-	}
-	if *id == "" && fs.NArg() > 0 {
-		*id = strings.Join(fs.Args(), ",")
 	}
 	if *id == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -run <id> or -list required")
@@ -136,31 +139,36 @@ func run(args []string) int {
 		if *metricsOut != "" {
 			cfg.Metrics = metrics.NewCollector()
 			// Pool occupancy rides along with -metrics as an stdout-only
-			// report; it never enters the sidecar, which must stay
-			// byte-identical with pooling on or off.
+			// report; it never enters the sidecar.
 			cfg.Pools = new(scenario.PoolReport)
 		}
+		var (
+			res  *experiments.Result
+			recs []*trace.Recording
+			err  error
+		)
 		if *traceDir != "" {
-			cfg.Trace = trace.NewCollector(*traceCap)
+			res, recs, err = runTraced(art, cfg, *traceCap)
+		} else {
+			res, err = runArtifact(art, cfg)
 		}
-		res, err := runArtifact(art, cfg)
-		if err != nil {
+		var verr *trace.ViolationError
+		if err != nil && !errors.As(err, &verr) {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", art, err)
 			failed = append(failed, art)
 			continue
 		}
 		fmt.Print(res.String())
-		if cfg.Trace != nil {
-			recs := cfg.Trace.Recordings()
+		if *traceDir != "" {
 			paths, err := trace.ExportDir(*traceDir, art, recs)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				return 1
 			}
 			fmt.Printf("%d trace files written to %s\n", len(paths), *traceDir)
-			if n := cfg.Trace.ViolationCount(); n > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %s: %d invariant violations:\n", art, n)
-				for _, v := range trace.Violations(recs) {
+			if verr != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %s: %v:\n", art, verr)
+				for _, v := range verr.Violations {
 					fmt.Fprintln(os.Stderr, v)
 				}
 				failed = append(failed, art)

@@ -34,6 +34,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"csv output", []string{"-run", "tab3", "-csv", t.TempDir()}, 0},
 		{"json output", []string{"-run", "tab3", "-json", t.TempDir()}, 0},
 		{"comma-separated ids", []string{"-run", "tab3,tab1", "-quick", "-duration", "100ms"}, 0},
+		// -run is the one way to name artifacts.
+		{"artifact alias is gone", []string{"-artifact", "tab3"}, 2},
+		{"positional id", []string{"tab3"}, 2},
+		{"positional id beside -run", []string{"-run", "tab3", "tab1"}, 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -87,16 +91,21 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 // files are still written, the violation is listed on stderr, and the
 // exit status is 1.
 func TestTraceViolationFailsArtifact(t *testing.T) {
-	real := runArtifact
-	defer func() { runArtifact = real }()
-	runArtifact = func(id string, cfg experiments.RunConfig) (*experiments.Result, error) {
-		res, err := real(id, cfg)
-		// One world whose station wins contention under its own NAV.
-		rec := cfg.Trace.Start(7)
+	real := runTraced
+	defer func() { runTraced = real }()
+	runTraced = func(id string, cfg experiments.RunConfig, capacity int) (*experiments.Result, []*trace.Recording, error) {
+		res, recs, err := real(id, cfg, capacity)
+		if err != nil {
+			return res, recs, err
+		}
+		// One more world, whose station wins contention under its own NAV.
+		coll := trace.NewCollector(capacity)
+		rec := coll.Start(7)
 		rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeNAVUpdate, At: 0, Station: 1, Until: sim.Second})
 		rec.OnMACEvent(&mac.ProbeEvent{Kind: mac.ProbeTxContend, At: 100 * sim.Microsecond,
 			Station: 1, Frame: mac.FrameRTS, Dst: 2})
-		return res, err
+		recs = append(recs, coll.Recordings()...)
+		return res, recs, trace.Check(recs)
 	}
 	dir := t.TempDir()
 	stderr, got := captureStderr(t, func() int { return run([]string{"-run", "tab3", "-trace", dir}) })

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -295,9 +296,10 @@ func run(args []string) int {
 			fmt.Print(recs[0].Recorder.Summary(rc.Duration))
 		}
 		fmt.Printf("%d trace files written to %s\n", len(paths), *traceDir)
-		if n := rc.Trace.ViolationCount(); n > 0 {
-			fmt.Fprintf(os.Stderr, "greedysim: %d invariant violations:\n", n)
-			for _, v := range trace.Violations(recs) {
+		var verr *trace.ViolationError
+		if errors.As(trace.Check(recs), &verr) {
+			fmt.Fprintf(os.Stderr, "greedysim: %v:\n", verr)
+			for _, v := range verr.Violations {
 				fmt.Fprintln(os.Stderr, v)
 			}
 			return 1

@@ -303,7 +303,6 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	result, metrics := []byte(req.Result), []byte(req.Metrics)
 	if err := campaign.CheckPayloads(result, metrics); err != nil {
-		s.stats.leasesFailed.Add(1)
 		writeErr(w, http.StatusUnprocessableEntity, "rejecting upload: %v", err)
 		return
 	}
@@ -496,23 +495,21 @@ func (s *Server) renderTrace(key, format string) ([]byte, error) {
 				key[:12], meta.Module, s.module),
 		}
 	}
-	coll := trace.NewCollector(0)
 	rc := experiments.RunConfig{
 		Seeds:    meta.Seeds,
 		BaseSeed: meta.BaseSeed,
 		Duration: sim.Time(meta.DurationNs),
 		Quick:    meta.Quick,
-		Trace:    coll,
 	}
-	if _, err := experiments.Run(meta.Artifact, rc); err != nil {
+	_, recs, err := experiments.RunTraced(meta.Artifact, rc, 0)
+	var verr *trace.ViolationError
+	if errors.As(err, &verr) {
+		s.logger.Warn("traced re-simulation breaks 802.11 access invariants",
+			"artifact", meta.Artifact, "object", key, "violations", verr.Count)
+	} else if err != nil {
 		return nil, fmt.Errorf("campaignd: tracing %s: %w", meta.Artifact, err)
 	}
-	if n := coll.ViolationCount(); n > 0 {
-		s.logger.Warn("traced re-simulation breaks 802.11 access invariants",
-			"artifact", meta.Artifact, "object", key, "violations", n)
-	}
 	var buf bytes.Buffer
-	recs := coll.Recordings()
 	if len(recs) == 0 && format != "jsonl" {
 		// Analytic artifacts run no simulated worlds; say so instead of
 		// serving a confusing empty render. (JSONL stays empty — zero

@@ -447,6 +447,37 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	}
 }
 
+// A refused upload followed by the worker's Fail is one failed lease:
+// the refusal keeps the lease and records nothing, so only Fail counts
+// it, in the counter and as one "failed:" span in the journal.
+func TestServerRefusedUploadThenFailCountsOnce(t *testing.T) {
+	srv, ts, store := newTestServer(t, time.Minute, nil)
+	var doc CampaignDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", testSpec(), &doc, 200)
+	var lr LeaseResponse
+	doJSON(t, "POST", ts.URL+"/v1/campaigns/"+doc.ID+"/lease", LeaseRequest{Worker: "w"}, &lr, 200)
+	lease := ts.URL + "/v1/leases/" + lr.Lease.LeaseID
+	doJSON(t, "POST", lease+"/complete", CompleteRequest{Key: lr.Lease.Unit.Key, Result: "not json", Metrics: "[]"}, nil, 422)
+	doJSON(t, "POST", lease+"/fail", FailRequest{Error: "upload refused"}, nil, 200)
+
+	if n := srv.stats.leasesFailed.Value(); n != 1 {
+		t.Errorf("failed leases counted %d, want 1", n)
+	}
+	spans, err := campaign.ReadSpans(store.JournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, s := range spans {
+		if s.Phase == "lease" && strings.HasPrefix(s.Note, "failed:") {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Errorf("journal holds %d failed lease spans, want 1", failed)
+	}
+}
+
 func TestServerVerdictsConditional(t *testing.T) {
 	_, ts, _ := newTestServer(t, 0, nil)
 	resp, err := http.Get(ts.URL + "/v1/verdicts")

@@ -75,8 +75,7 @@ func runExtC(cfg RunConfig) (*Result, error) {
 		// (if any) joins as a second.
 		w.Medium.AddTap(dom)
 		if cfg.Trace != nil {
-			rec := cfg.Trace.Start(seed)
-			w.AttachTrace(rec, rec)
+			w.AttachTrace(cfg.Trace.Start(seed))
 		}
 		w.Run(cfg.Duration)
 		f1, _ := w.Flow(1)

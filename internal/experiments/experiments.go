@@ -42,17 +42,17 @@ type RunConfig struct {
 	// artifact produce identical sidecars.
 	Metrics *metrics.Collector
 	// Trace, when non-nil, attaches a flight recorder to every world the
-	// artifact builds (one recording per world, keyed by seed). Like
-	// Metrics, the collector canonicalizes ordering, so trace exports are
-	// byte-identical across parallel widths. Probe emission consumes no
-	// randomness and schedules no events, so the artifact numbers are
-	// unchanged.
+	// artifact builds (one recording per world, keyed by seed); see
+	// RunTraced. Like Metrics, the collector canonicalizes ordering, so
+	// trace exports are byte-identical across parallel widths. Probe
+	// emission consumes no randomness and schedules no events, so the
+	// artifact numbers are unchanged.
 	Trace *trace.Collector
 	// Pools, when non-nil, folds every world's end-of-run pool occupancy
 	// (frame/packet arenas, arrival arena, event slab) into the report as
 	// seeds finish. Pool telemetry is an stdout-only observability
 	// surface: it never enters metrics sidecars or result JSON, which
-	// stay byte-identical with pooling on or off.
+	// stay byte-identical whether or not Pools is set.
 	Pools *scenario.PoolReport
 }
 
@@ -237,6 +237,23 @@ func Run(id string, cfg RunConfig) (*Result, error) {
 	return reg.Runner(cfg)
 }
 
+// RunTraced runs one artifact with a flight recorder on every world,
+// each keeping its last capacity events (<= 0 selects the recorder
+// default), and returns the recordings in canonical order. Every world
+// is checked live against the 802.11 access invariants: if any breaks
+// one, the error is a *trace.ViolationError and the result and
+// recordings come with it, so the caller can still export the evidence.
+// Any other error comes alone.
+func RunTraced(id string, cfg RunConfig, capacity int) (*Result, []*trace.Recording, error) {
+	cfg.Trace = trace.NewCollector(capacity)
+	res, err := Run(id, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	recs := cfg.Trace.Recordings()
+	return res, recs, trace.Check(recs)
+}
+
 // --- shared runners -------------------------------------------------------
 
 // seedRun is one seed's extraction: per-flow goodputs, any named metrics,
@@ -265,8 +282,7 @@ func RunSeeds(cfg RunConfig, build func(seed int64) (*scenario.World, error),
 			return seedRun{}, err
 		}
 		if cfg.Trace != nil {
-			rec := cfg.Trace.Start(seed)
-			w.AttachTrace(rec, rec)
+			w.AttachTrace(cfg.Trace.Start(seed))
 		}
 		w.Run(cfg.Duration)
 		r := seedRun{flows: make(map[int]float64)}

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,12 +13,12 @@ import (
 	"greedy80211/internal/trace"
 )
 
-// exportAll serializes every recording of one collector in canonical
-// order, exactly as trace.ExportDir would lay the files out.
-func exportAll(t *testing.T, coll *trace.Collector) []byte {
+// exportAll serializes recordings in the given (canonical) order,
+// exactly as trace.ExportDir would lay the files out.
+func exportAll(t *testing.T, recs []*trace.Recording) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, rec := range coll.Recordings() {
+	for _, rec := range recs {
 		if err := trace.WriteJSONL(&buf, rec.Meta("x"), rec.Recorder.Events()); err != nil {
 			t.Fatal(err)
 		}
@@ -35,12 +38,12 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			run := func(limit int) []byte {
 				runner.SetLimit(limit)
-				coll := trace.NewCollector(0)
-				cfg := RunConfig{Quick: true, Seeds: 2, BaseSeed: 17, Trace: coll}
-				if _, err := Run(id, cfg); err != nil {
+				cfg := RunConfig{Quick: true, Seeds: 2, BaseSeed: 17}
+				_, recs, err := RunTraced(id, cfg, 0)
+				if err != nil {
 					t.Fatalf("limit %d: %v", limit, err)
 				}
-				return exportAll(t, coll)
+				return exportAll(t, recs)
 			}
 			seq := run(1)
 			par := run(8)
@@ -64,9 +67,7 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := cfg
-	traced.Trace = trace.NewCollector(0)
-	got, err := Run("fig1", traced)
+	got, _, err := RunTraced("fig1", cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,50 @@ func TestWiredSenderWorldKeepsIFSSpacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll := trace.NewCollector(0)
-	rec := coll.Start(3)
-	w.AttachTrace(rec, rec)
+	w.AttachTrace(coll.Start(3))
 	w.Run(45 * sim.Second)
-	if n := coll.ViolationCount(); n != 0 {
-		t.Errorf("%d invariant violations, want 0:\n%s", n,
-			strings.Join(trace.Violations(coll.Recordings()), "\n"))
+	if err := trace.Check(coll.Recordings()); err != nil {
+		t.Errorf("%v, want 0:\n%s", err, strings.Join(err.(*trace.ViolationError).Violations, "\n"))
+	}
+}
+
+// TestFileRecheckMatchesLive: re-checking a recording from what its file
+// holds (the ring's retained events and the header's timing) must report
+// exactly what the live checker, which saw every event, reported. fig11
+// at the report profile wraps its rings, and at the default capacity one
+// of its files opens at the very instant a reception it answers ended.
+func TestFileRecheckMatchesLive(t *testing.T) {
+	cfg := RunConfig{Seeds: 3, Duration: sim.Second}
+	for _, capacity := range []int{64, 256, 0} {
+		_, recs, err := RunTraced("fig11", cfg, capacity)
+		var verr *trace.ViolationError
+		if err != nil && !errors.As(err, &verr) {
+			t.Fatalf("cap %d: %v", capacity, err)
+		}
+		var live, file []string
+		if verr != nil {
+			live = verr.Violations
+		}
+		truncated := 0
+		for _, rec := range recs {
+			if rec.Recorder.Dropped() > 0 {
+				truncated++
+			}
+			ck := trace.NewChecker(rec.Meta("fig11").Timing)
+			events := rec.Recorder.Events()
+			for i := range events {
+				ck.Feed(&events[i])
+			}
+			for _, v := range ck.Violations() {
+				file = append(file, fmt.Sprintf("seed=%d %s", rec.Seed, v))
+			}
+		}
+		if truncated == 0 {
+			t.Errorf("cap %d: no ring wrapped; the profile no longer exercises truncation", capacity)
+		}
+		if !slices.Equal(file, live) {
+			t.Errorf("cap %d: file re-check found %d violations, live %d:\nfile: %s\nlive: %s",
+				capacity, len(file), len(live), strings.Join(file, "\n"), strings.Join(live, "\n"))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,13 +43,11 @@ func CaptureTraces(cfg Config, artifacts []string, dir string) ([]string, error)
 	}
 	var written []string
 	for _, id := range artifacts {
-		coll := trace.NewCollector(0)
-		rc := base
-		rc.Trace = coll
-		if _, err := experiments.Run(id, rc); err != nil {
+		_, recs, err := experiments.RunTraced(id, base, 0)
+		var verr *trace.ViolationError
+		if err != nil && !errors.As(err, &verr) {
 			return written, fmt.Errorf("report: tracing %s: %w", id, err)
 		}
-		recs := coll.Recordings()
 		paths, err := trace.ExportDir(dir, id, recs)
 		written = append(written, paths...)
 		if err != nil {
@@ -56,11 +55,11 @@ func CaptureTraces(cfg Config, artifacts []string, dir string) ([]string, error)
 		}
 		inv := filepath.Join(dir, id+"_invariants.txt")
 		var body strings.Builder
-		if vs := trace.Violations(recs); len(vs) == 0 {
+		if verr == nil {
 			fmt.Fprintf(&body, "%s: %d worlds traced, no invariant violations\n",
 				id, len(recs))
 		} else {
-			for _, v := range vs {
+			for _, v := range verr.Violations {
 				fmt.Fprintln(&body, v)
 			}
 		}

@@ -45,7 +45,7 @@ func TestPoolingByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := trace.NewRecorder(0)
-			w.AttachTrace(rec, rec)
+			w.AttachTrace(rec)
 			w.Run(2 * sim.Second)
 			var tr bytes.Buffer
 			if err := trace.WriteJSONL(&tr, rec.Meta("id", 5), rec.Events()); err != nil {

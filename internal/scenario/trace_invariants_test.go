@@ -16,8 +16,7 @@ func runTraced(t *testing.T, cfg PairsConfig, d sim.Time) (*trace.Collector, *Wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := coll.Start(cfg.Seed)
-	w.AttachTrace(rec, rec)
+	w.AttachTrace(coll.Start(cfg.Seed))
 	w.Run(d)
 	return coll, w
 }
@@ -30,8 +29,8 @@ func TestTraceInvariantsCompliantWorld(t *testing.T) {
 		N:         2,
 		Transport: UDP,
 	}, 2*sim.Second)
-	if n := coll.ViolationCount(); n != 0 {
-		t.Fatalf("compliant world: %d violations:\n%v", n, trace.Violations(coll.Recordings()))
+	if err := trace.Check(coll.Recordings()); err != nil {
+		t.Fatalf("compliant world: %v:\n%v", err, err.(*trace.ViolationError).Violations)
 	}
 }
 
@@ -48,8 +47,8 @@ func TestTraceInvariantsNAVInflationWorld(t *testing.T) {
 		Transport:     UDP,
 		ReceiverSpecs: []StationSpec{{Policy: PolicySpec{Name: PolicyNAVInflation}}},
 	}, 2*sim.Second)
-	if n := coll.ViolationCount(); n != 0 {
-		t.Fatalf("NAV-inflation world: %d violations:\n%v", n, trace.Violations(coll.Recordings()))
+	if err := trace.Check(coll.Recordings()); err != nil {
+		t.Fatalf("NAV-inflation world: %v:\n%v", err, err.(*trace.ViolationError).Violations)
 	}
 	gr, ok := w.Station(ReceiverName(0))
 	if !ok {
@@ -84,7 +83,7 @@ func TestAttachTraceNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(16)
-	w.AttachTrace(rec, rec)
+	w.AttachTrace(rec)
 	w.Run(100 * sim.Millisecond)
 	meta := rec.Meta("x", 3)
 	if meta.Timing != trace.TimingFromParams(w.Params) {

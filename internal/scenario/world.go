@@ -14,6 +14,7 @@ import (
 	"greedy80211/internal/node"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
+	"greedy80211/internal/trace"
 	"greedy80211/internal/transport"
 	"greedy80211/internal/wireline"
 )
@@ -150,8 +151,8 @@ type World struct {
 	wired    map[string]wiredAttachment // host name -> its link toward an AP
 	nextID   mac.NodeID
 	metrics  *metrics.Registry
-	frames   *mac.FramePool        // nil when pooling is disabled
-	packets  *transport.PacketPool // nil when pooling is disabled
+	frames   *mac.FramePool
+	packets  *transport.PacketPool
 }
 
 type wiredAttachment struct {
@@ -472,53 +473,17 @@ func (w *World) AddProbeFlow(id int, from, to string, interval sim.Time) (*Probe
 	return pf, nil
 }
 
-// stationNamer and paramsSink are the duck-typed hooks AttachTrace feeds:
-// trace.Recorder implements both, but scenario must not import trace
-// (trace imports medium/mac, and keeping scenario below it avoids a
-// needless coupling), so the hooks are structural.
-type stationNamer interface {
-	SetStationName(id mac.NodeID, name string)
-}
-
-type paramsSink interface {
-	SetParams(p phys.Params)
-}
-
-// AttachTrace wires a flight recorder into a fully built world: the tap
-// hears every channel event, the probe hears every station's MAC-internal
-// events. Either may be nil. If the tap or probe also implements
-// SetStationName/SetParams (trace.Recorder does), it learns the station
-// names and band timing for rendering and invariant checking. Call it
-// after the last AddStation and before Run.
-func (w *World) AttachTrace(tap medium.Tap, probe mac.Probe) {
-	if tap != nil {
-		w.Medium.AddTap(tap)
-	}
-	for _, hook := range []any{tap, probe} {
-		if hook == nil {
-			continue
-		}
-		if ps, ok := hook.(paramsSink); ok {
-			ps.SetParams(w.Params)
-		}
-		if sn, ok := hook.(stationNamer); ok {
-			for _, st := range w.stations {
-				if st.DCF != nil {
-					sn.SetStationName(st.ID, st.Name)
-				}
-			}
-		}
-		// The same object attached as both tap and probe hears each hook
-		// once only.
-		if tap != nil && probe != nil && any(tap) == any(probe) {
-			break
-		}
-	}
-	if probe != nil {
-		for _, st := range w.stations {
-			if st.DCF != nil {
-				st.DCF.SetProbe(probe)
-			}
+// AttachTrace wires a flight recorder into a fully built world: it hears
+// every channel event and every station's MAC-internal events, and learns
+// the band timing and the station names for rendering and invariant
+// checking. Call it after the last AddStation and before Run.
+func (w *World) AttachTrace(rec *trace.Recorder) {
+	w.Medium.AddTap(rec)
+	rec.SetParams(w.Params)
+	for _, st := range w.stations {
+		if st.DCF != nil {
+			rec.SetStationName(st.ID, st.Name)
+			st.DCF.SetProbe(rec)
 		}
 	}
 }

@@ -70,17 +70,36 @@ func (c *Collector) Recordings() []*Recording {
 	return out
 }
 
-// Violations aggregates checker findings across recordings (as returned
-// by Collector.Recordings, in canonical order), labelling each with its
-// seed.
-func Violations(recs []*Recording) []string {
-	var out []string
+// ViolationError reports the invariant violations recorded across a set
+// of worlds.
+type ViolationError struct {
+	// Count totals the violations, including any past a checker's
+	// retention cap.
+	Count int
+	// Violations lists the retained violations, each labelled with its
+	// recording's seed.
+	Violations []string
+}
+
+func (e *ViolationError) Error() string {
+	return fmt.Sprintf("%d invariant violations", e.Count)
+}
+
+// Check returns a *ViolationError listing what the recordings' checkers
+// found (recordings as returned by Collector.Recordings, in canonical
+// order), or nil when every world kept every invariant.
+func Check(recs []*Recording) error {
+	var e ViolationError
 	for _, r := range recs {
+		e.Count += r.Recorder.checker.Count()
 		for _, v := range r.Recorder.checker.Violations() {
-			out = append(out, fmt.Sprintf("seed=%d %s", r.Seed, v))
+			e.Violations = append(e.Violations, fmt.Sprintf("seed=%d %s", r.Seed, v))
 		}
 	}
-	return out
+	if e.Count == 0 {
+		return nil
+	}
+	return &e
 }
 
 // ViolationCount totals checker findings across all recordings.

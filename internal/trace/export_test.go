@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -295,7 +296,11 @@ func TestCollectorChecksWired(t *testing.T) {
 	if c.ViolationCount() != 1 {
 		t.Fatalf("violations = %d, want 1", c.ViolationCount())
 	}
-	if v := Violations(c.Recordings())[0]; !strings.HasPrefix(v, "seed=7 ") || !strings.Contains(v, InvNAV) {
+	var verr *ViolationError
+	if err := Check(c.Recordings()); !errors.As(err, &verr) || verr.Count != 1 || len(verr.Violations) != 1 {
+		t.Fatalf("Check = %v, want one violation", err)
+	}
+	if v := verr.Violations[0]; !strings.HasPrefix(v, "seed=7 ") || !strings.Contains(v, InvNAV) {
 		t.Errorf("violation = %q, want seed prefix and invariant name", v)
 	}
 }

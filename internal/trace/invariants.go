@@ -131,9 +131,11 @@ type Checker struct {
 	violations []Violation
 	count      int
 
-	// begin is the first fed event's timestamp: checks whose supporting
-	// evidence predates it are skipped, so a ring-truncated stream (which
-	// starts mid-run) does not produce spurious violations.
+	// begin is the first fed event's timestamp. A ring-truncated stream
+	// starts mid-run, and the ring may have evicted some of the events
+	// that share begin's timestamp, so checks whose supporting evidence
+	// lies at or before begin are skipped: they would otherwise report
+	// spurious violations.
 	begin   sim.Time
 	seenAny bool
 }
@@ -344,9 +346,10 @@ func (c *Checker) checkContend(s *staState, e *Event) {
 func (c *Checker) checkRespond(s *staState, e *Event) {
 	t := e.At
 	want := t - c.timing.SIFS
-	if want < c.begin {
-		// The reception this response answers predates the stream (ring
-		// truncation); nothing to check against.
+	if want <= c.begin {
+		// The reception this response answers ended no later than the
+		// stream's first event, so ring truncation may have evicted it;
+		// nothing to check against.
 		return
 	}
 	// A response answers the reception that scheduled it, which ended

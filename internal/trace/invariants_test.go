@@ -192,6 +192,9 @@ func TestInvariantSIFSWrongOffset(t *testing.T) {
 // *latest* reception.
 func TestInvariantSIFSOverlappedRxIsClean(t *testing.T) {
 	c := feedAll([]Event{
+		// The stream opens before the answered reception: a response to
+		// one ending at the stream's first instant goes unchecked.
+		{Kind: KindBusyStart, At: 700 * us, Station: 2},
 		{Kind: KindDecode, At: 1000 * us, Station: 2,
 			Frame: FrameInfo{Type: mac.FrameData, Src: 1, Dst: 2}, RSSIDBm: -50},
 		// A hidden sender's frame ends 3µs later, corrupted.
@@ -210,6 +213,9 @@ func TestInvariantSIFSOverlappedRxIsClean(t *testing.T) {
 // cited.
 func TestInvariantSIFSWrongFrame(t *testing.T) {
 	c := feedAll([]Event{
+		// The stream opens before the answered reception: a response to
+		// one ending at the stream's first instant goes unchecked.
+		{Kind: KindBusyStart, At: 700 * us, Station: 2},
 		{Kind: KindDecode, At: 1000 * us, Station: 2,
 			Frame: FrameInfo{Type: mac.FrameData, Src: 1, Dst: 2}, RSSIDBm: -50},
 		{Kind: KindTxRespond, At: 1010 * us, Station: 2,
@@ -247,16 +253,23 @@ func TestCompliantStreamIsClean(t *testing.T) {
 }
 
 // TestTruncatedStreamSkipsPreHorizonChecks: a ring-truncated stream that
-// opens mid-run must not flag a response whose reception was evicted.
+// opens mid-run must not flag a response whose reception was evicted —
+// also when that reception ended exactly at the first retained event,
+// whose timestamp it shares with events the ring kept.
 func TestTruncatedStreamSkipsPreHorizonChecks(t *testing.T) {
-	c := feedAll([]Event{
-		{Kind: KindBusyEnd, At: 5000 * us, Station: 2},
-		// The DATA this ACK answers predates the stream; unverifiable.
-		{Kind: KindTxRespond, At: 5005 * us, Station: 2,
-			Frame: FrameInfo{Type: mac.FrameACK, Src: 2, Dst: 1}},
-	})
-	if c.Count() != 0 {
-		t.Fatalf("truncated stream flagged: %v", c.Violations())
+	for name, first := range map[string]Event{
+		"reception before the first event": {Kind: KindBusyEnd, At: 5000 * us, Station: 2},
+		"reception at the first event":     {Kind: KindBusyEnd, At: 4995 * us, Station: 3},
+	} {
+		c := feedAll([]Event{
+			first,
+			// The DATA this ACK answers ended at 4995µs; unverifiable.
+			{Kind: KindTxRespond, At: 5005 * us, Station: 2,
+				Frame: FrameInfo{Type: mac.FrameACK, Src: 2, Dst: 1}},
+		})
+		if c.Count() != 0 {
+			t.Errorf("%s: truncated stream flagged: %v", name, c.Violations())
+		}
 	}
 }
 

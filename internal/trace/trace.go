@@ -316,7 +316,7 @@ func (r *Recorder) SetStationName(id mac.NodeID, name string) {
 }
 
 // SetParams records the band timing the traced world runs under;
-// scenario.World.AttachTrace calls it through a duck-typed hook.
+// scenario.World.AttachTrace calls it.
 func (r *Recorder) SetParams(p phys.Params) {
 	r.timing = TimingFromParams(p)
 	if r.checker != nil {

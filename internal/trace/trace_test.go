@@ -282,8 +282,8 @@ func TestFullRingRecordsWithoutAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
 		t.Errorf("full-ring recording allocates %.1f times per 6-event exchange, want 0", allocs)
 	}
-	if n := c.ViolationCount(); n != 0 {
-		t.Errorf("violations = %d, want 0: %v", n, Violations(c.Recordings()))
+	if err := Check(c.Recordings()); err != nil {
+		t.Errorf("%v: %v", err, err.(*ViolationError).Violations)
 	}
 }
 
