@@ -142,6 +142,11 @@ func run(args []string) int {
 			// report; it never enters the sidecar.
 			cfg.Pools = new(scenario.PoolReport)
 		}
+		if _, ok := experiments.Lookup(art); !ok {
+			fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q\n", art)
+			failed = append(failed, art)
+			continue
+		}
 		var (
 			res  *experiments.Result
 			recs []*trace.Recording

@@ -19,30 +19,38 @@ import (
 
 func TestRunExitCodes(t *testing.T) {
 	tests := []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string // stderr must begin with it
 	}{
-		{"no args", nil, 2},
-		{"bad flag", []string{"-nope"}, 2},
-		{"list", []string{"-list"}, 0},
-		{"unknown artifact", []string{"-run", "fig99"}, 1},
-		{"tab3 (analytic, instant)", []string{"-run", "tab3"}, 0},
-		{"fig1 quick", []string{"-run", "fig1", "-quick"}, 0},
+		{"no args", nil, 2, "experiments: -run <id> or -list required\n"},
+		{"bad flag", []string{"-nope"}, 2, "flag provided but not defined: -nope\n"},
+		{"list", []string{"-list"}, 0, ""},
+		{"unknown artifact", []string{"-run", "fig99"}, 1, "experiments: unknown artifact \"fig99\"\n"},
+		{"tab3 (analytic, instant)", []string{"-run", "tab3"}, 0, ""},
+		{"fig1 quick", []string{"-run", "fig1", "-quick"}, 0, ""},
 		{"custom seeds and duration", []string{"-run", "tab3", "-seeds", "1",
-			"-duration", "1s", "-seed", "9"}, 0},
-		{"csv output", []string{"-run", "tab3", "-csv", t.TempDir()}, 0},
-		{"json output", []string{"-run", "tab3", "-json", t.TempDir()}, 0},
-		{"comma-separated ids", []string{"-run", "tab3,tab1", "-quick", "-duration", "100ms"}, 0},
+			"-duration", "1s", "-seed", "9"}, 0, ""},
+		{"csv output", []string{"-run", "tab3", "-csv", t.TempDir()}, 0, ""},
+		{"json output", []string{"-run", "tab3", "-json", t.TempDir()}, 0, ""},
+		{"comma-separated ids", []string{"-run", "tab3,tab1", "-quick", "-duration", "100ms"}, 0, ""},
 		// -run is the one way to name artifacts.
-		{"artifact alias is gone", []string{"-artifact", "tab3"}, 2},
-		{"positional id", []string{"tab3"}, 2},
-		{"positional id beside -run", []string{"-run", "tab3", "tab1"}, 2},
+		{"artifact alias is gone", []string{"-artifact", "tab3"}, 2,
+			"flag provided but not defined: -artifact\n"},
+		{"positional id", []string{"tab3"}, 2,
+			"experiments: unexpected argument \"tab3\"; name artifacts with -run\n"},
+		{"positional id beside -run", []string{"-run", "tab3", "tab1"}, 2,
+			"experiments: unexpected argument \"tab1\"; name artifacts with -run\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := run(tt.args); got != tt.want {
+			stderr, got := captureStderr(t, func() int { return run(tt.args) })
+			if got != tt.want {
 				t.Errorf("run(%v) = %d, want %d", tt.args, got, tt.want)
+			}
+			if !strings.HasPrefix(stderr, tt.stderr) {
+				t.Errorf("run(%v) stderr = %q, want it to begin with %q", tt.args, stderr, tt.stderr)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -23,7 +25,20 @@ type scriptFiring struct {
 	label     int // the op index of an event; -1-k for shared timer k
 	at        Time
 	pending   int
-	deadlines [scriptTimers]Time
+	deadlines []Time // every shared timer's Deadline
+}
+
+// firer is the script a target reports its firings to.
+type firer interface{ fired(label int) }
+
+// observe records what target shows at a firing of label.
+func observe(target scriptTarget, label, timers int) scriptFiring {
+	f := scriptFiring{label: label, at: target.now(), pending: target.pending(),
+		deadlines: make([]Time, timers)}
+	for k := range f.deadlines {
+		f.deadlines[k] = target.deadline(k)
+	}
+	return f
 }
 
 // scriptTarget is what a script drives: the Scheduler, or the reference
@@ -67,20 +82,16 @@ func (r *script) issue(k int) {
 }
 
 func (r *script) fired(label int) {
-	f := scriptFiring{label: label, at: r.target.now(), pending: r.target.pending()}
-	for k := range f.deadlines {
-		f.deadlines[k] = r.target.deadline(k)
-	}
-	r.log = append(r.log, f)
+	r.log = append(r.log, observe(r.target, label, scriptTimers))
 	if label == -1 && r.next < len(r.ops) {
 		r.target.start(0, Time(len(r.log)%5), false)
 	}
 	r.issue(2)
 }
 
-func runScript(ops []scriptOp, target func(*script) scriptTarget) []scriptFiring {
+func runScript(ops []scriptOp, target func(firer, int) scriptTarget) []scriptFiring {
 	r := &script{ops: ops}
-	r.target = target(r)
+	r.target = target(r, scriptTimers)
 	r.issue(4)
 	r.target.run()
 	return r.log
@@ -91,12 +102,12 @@ func runScript(ops []scriptOp, target func(*script) scriptTarget) []scriptFiring
 type schedTarget struct {
 	s      *Scheduler
 	lanes  [3]Lane
-	timers [scriptTimers]*Timer
+	timers []*Timer
 	fire   ArgHandler
 }
 
-func newSchedTarget(r *script) scriptTarget {
-	st := &schedTarget{s: NewScheduler(1)}
+func newSchedTarget(r firer, timers int) scriptTarget {
+	st := &schedTarget{s: NewScheduler(1), timers: make([]*Timer, timers)}
 	st.fire = func(x any) { r.fired(x.(int)) }
 	for k := range st.timers {
 		label := -1 - k
@@ -141,14 +152,16 @@ type refItem struct {
 // kept sorted by (when, seq), timers as plain entries, and cancellation
 // by flag. Every post and arm takes the next seq.
 type refTarget struct {
-	r      *script
+	r      firer
 	clock  Time
 	seq    uint64
 	queue  []*refItem
-	timers [scriptTimers]*refItem // each timer's live entry; nil when disarmed
+	timers []*refItem // each timer's live entry; nil when disarmed
 }
 
-func newRefTarget(r *script) scriptTarget { return &refTarget{r: r} }
+func newRefTarget(r firer, timers int) scriptTarget {
+	return &refTarget{r: r, timers: make([]*refItem, timers)}
+}
 
 func (rt *refTarget) insert(when Time, label int) *refItem {
 	it := &refItem{when: when, seq: rt.seq, label: label}
@@ -216,6 +229,104 @@ func TestPropertyLanesMatchHeapOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// deepScript drives a target in the shape of a dense world: hundreds of
+// timers, armed near and far and re-keyed as NAV is, plus far periodic
+// AtCall ticks that reschedule themselves as CBR sources do.
+// Both heaps then hold full four-child families four levels down, where
+// the sifts pick the least child without branches. Delays come in coarse
+// steps so keys tie often and the seq tiebreak decides.
+type deepScript struct {
+	rng    *rand.Rand
+	target scriptTarget
+	log    []scriptFiring
+	left   int    // firings that still issue work
+	posts  int    // plain events posted so far
+	low    [2]int // fewest heap events and armed timers while work is issued
+}
+
+const (
+	deepTimers = 300
+	deepTicks  = 300
+	deepStep   = 1 << 10 // a far delay's granularity, in ns
+)
+
+// delay is a near delay (under 16 ns) or a far one (up to 64 steps).
+func (d *deepScript) delay() Time {
+	if d.rng.Intn(2) == 0 {
+		return Time(d.rng.Intn(16))
+	}
+	return Time(d.rng.Intn(64)) * deepStep
+}
+
+func (d *deepScript) fired(label int) {
+	d.log = append(d.log, observe(d.target, label, deepTimers))
+	if d.left == 0 {
+		return
+	}
+	if st, ok := d.target.(*schedTarget); ok {
+		d.low[0] = min(d.low[0], len(st.s.heap))
+		d.low[1] = min(d.low[1], len(st.s.timers))
+	}
+	d.left--
+	now := d.target.now()
+	switch {
+	case label >= 0 && label < deepTicks:
+		d.target.post(3, now+Time(64+d.rng.Intn(8))*deepStep, label)
+	case label < 0 && d.rng.Intn(2) == 0:
+		d.target.start(-1-label, d.delay(), false)
+	}
+	for range 2 {
+		k := d.rng.Intn(deepTimers)
+		switch d.rng.Intn(4) {
+		case 0, 1:
+			d.target.start(k, d.delay(), d.rng.Intn(2) == 0)
+		case 2:
+			d.target.stop(k)
+		case 3:
+			d.target.post(3, now+d.delay(), deepTicks+d.posts)
+			d.posts++
+		}
+	}
+}
+
+func runDeepScript(seed int64, target func(firer, int) scriptTarget) *deepScript {
+	d := &deepScript{rng: NewRand(seed), left: 3000, low: [2]int{math.MaxInt, math.MaxInt}}
+	d.target = target(d, deepTimers)
+	for k := 0; k < deepTimers; k++ {
+		d.target.start(k, Time(d.rng.Intn(64))*deepStep, false)
+	}
+	for i := 0; i < deepTicks; i++ {
+		d.target.post(3, Time(d.rng.Intn(64))*deepStep, i)
+	}
+	d.target.run()
+	return d
+}
+
+// The deep-heap sibling of TestPropertyLanesMatchHeapOrder: with both
+// heaps hundreds of entries deep, dispatch still matches the reference
+// queue in order, times, Pending count and every timer's deadline.
+func TestPropertyDeepHeapsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		got, want := runDeepScript(seed, newSchedTarget), runDeepScript(seed, newRefTarget)
+		// Depth 3 ends at index 84, so its first node's family is full
+		// from 89 entries on.
+		if got.low[0] < 89 || got.low[1] < 89 {
+			t.Fatalf("seed %d: heaps fell to %d events and %d timers, want both at least 89",
+				seed, got.low[0], got.low[1])
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d firings, want %d", seed, len(got.log), len(want.log))
+		}
+		for i := range got.log {
+			if !reflect.DeepEqual(got.log[i], want.log[i]) {
+				g, w := got.log[i], want.log[i]
+				t.Fatalf("seed %d: firing %d is label %d at %v with %d pending, want label %d at %v with %d pending (or deadlines differ)",
+					seed, i, g.label, g.at, g.pending, w.label, w.at, w.pending)
+			}
+		}
 	}
 }
 

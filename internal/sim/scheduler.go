@@ -70,6 +70,19 @@ func less(a, b entry) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
+// b2i is 1 for true and 0 for false. The compiler emits it as a flag
+// set, not a branch, so a sift can pick the least of a full family of
+// four by arithmetic: (when, seq) ordering as 0/1 integers, two pair
+// winners, then their winner. A branch there is a coin flip that the CPU
+// mispredicts at every level of a deep heap. The pick is written out in
+// each sift loop because a helper holding it is too large to inline.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // heapArity is the fan-out of the implicit min-heap. A 4-ary heap is
 // shallower than a binary one (fewer cache lines touched per pop) and the
 // four-child scan stays within one or two lines of the entry slice.
@@ -316,7 +329,8 @@ func (s *Scheduler) pop() *event {
 
 // siftDown puts e in the root slot and sifts it down to its heap
 // position, shifting smaller children up into the hole instead of
-// swapping.
+// swapping. A full family of four picks its smallest child without
+// branches (see b2i); a last, partial family scans.
 func (s *Scheduler) siftDown(e entry) {
 	h := s.heap
 	n := len(h)
@@ -326,14 +340,19 @@ func (s *Scheduler) siftDown(e entry) {
 		if first >= n {
 			break
 		}
-		m := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if less(h[c], h[m]) {
-				m = c
+		var m int
+		if first+heapArity <= n {
+			c := h[first : first+heapArity : first+heapArity]
+			l := b2i(c[1].when < c[0].when) | b2i(c[1].when == c[0].when)&b2i(c[1].seq < c[0].seq)
+			r := 2 + (b2i(c[3].when < c[2].when) | b2i(c[3].when == c[2].when)&b2i(c[3].seq < c[2].seq))
+			a, b := c[l&3], c[r&3]
+			m = first + l + (r-l)*(b2i(b.when < a.when)|b2i(b.when == a.when)&b2i(b.seq < a.seq))
+		} else {
+			m = first
+			for c := first + 1; c < n; c++ {
+				if less(h[c], h[m]) {
+					m = c
+				}
 			}
 		}
 		if !less(h[m], e) {

@@ -681,3 +681,60 @@ func BenchmarkSchedulerLaneTimers(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkSchedulerDeepTimers models perfbench dense's scheduler load:
+// 2,000 periodic sources tick about every 39 ms and so stay resident deep
+// in a heap, while 400 near timers churn at about 300 µs, as NAV does:
+// each expiry re-arms its own timer and re-keys another one. Every delay
+// carries ±1% jitter. The ticks run as self-rescheduling AtCall events,
+// as CBRSource's do, or as Timers that re-arm themselves, which puts
+// them in the keyed-timer heap that every near timer sifts through. One
+// op is one dispatched event or timer expiry.
+func BenchmarkSchedulerDeepTimers(b *testing.B) {
+	const ticks, near = 2000, 400
+	const period, nav = 39 * Millisecond, 300 * Microsecond
+	for _, mode := range []string{"events", "timers"} {
+		b.Run("ticks="+mode, func(b *testing.B) {
+			b.ReportAllocs()
+			s := NewScheduler(1)
+			rng := s.RNG()
+			jitter := func(d Time) Time { return d - d/100 + Time(rng.Int63n(int64(d/50)+1)) }
+			n := 0
+			var tick ArgHandler
+			tick = func(x any) {
+				n++
+				if n < b.N {
+					s.AtCall(s.Now()+jitter(period), tick, x)
+				}
+			}
+			for i := 0; i < ticks; i++ {
+				at := Time(rng.Int63n(int64(period)))
+				if mode == "events" {
+					s.AtCall(at, tick, nil)
+					continue
+				}
+				var t *Timer
+				t = NewTimer(s, func() {
+					n++
+					if n < b.N {
+						t.Start(jitter(period))
+					}
+				})
+				t.StartAt(at)
+			}
+			navs := make([]*Timer, near)
+			for i := range navs {
+				navs[i] = NewTimer(s, func() {
+					n++
+					if n < b.N {
+						navs[i].Start(jitter(nav))
+						navs[rng.Intn(near)].Start(jitter(nav))
+					}
+				})
+				navs[i].StartAt(Time(rng.Int63n(int64(nav))))
+			}
+			b.ResetTimer()
+			s.Run()
+		})
+	}
+}

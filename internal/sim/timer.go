@@ -2,7 +2,10 @@ package sim
 
 // Timer is a restartable one-shot timer. MAC-layer timeouts (CTS timeout,
 // ACK timeout, NAV expiry, backoff slots) are all Timers. The zero value
-// is unusable; create with NewTimer.
+// is unusable; create with NewTimer. What is never stopped or re-armed,
+// such as a periodic source's next tick, is cheaper as an event
+// scheduled from the one before: it then stays out of the timer heap
+// that every re-arm sifts through.
 //
 // Each timer has an id fixed at NewTimer and, while armed, exactly one
 // entry in its scheduler's timer heap. Arming takes the next seq exactly
@@ -121,7 +124,8 @@ func (s *Scheduler) timerUp(i int, e entry) {
 
 // timerDown puts e in the timer heap's slot i and sifts it down to its
 // position, moving smaller children up into the hole and recording every
-// moved entry's new index.
+// moved entry's new index. A full family of four picks its smallest child
+// without branches, as siftDown does.
 func (s *Scheduler) timerDown(i int, e entry) {
 	h := s.timers
 	n := len(h)
@@ -130,11 +134,19 @@ func (s *Scheduler) timerDown(i int, e entry) {
 		if first >= n {
 			break
 		}
-		m := first
-		end := min(first+heapArity, n)
-		for c := first + 1; c < end; c++ {
-			if less(h[c], h[m]) {
-				m = c
+		var m int
+		if first+heapArity <= n {
+			c := h[first : first+heapArity : first+heapArity]
+			l := b2i(c[1].when < c[0].when) | b2i(c[1].when == c[0].when)&b2i(c[1].seq < c[0].seq)
+			r := 2 + (b2i(c[3].when < c[2].when) | b2i(c[3].when == c[2].when)&b2i(c[3].seq < c[2].seq))
+			a, b := c[l&3], c[r&3]
+			m = first + l + (r-l)*(b2i(b.when < a.when)|b2i(b.when == a.when)&b2i(b.seq < a.seq))
+		} else {
+			m = first
+			for c := first + 1; c < n; c++ {
+				if less(h[c], h[m]) {
+					m = c
+				}
 			}
 		}
 		if !less(h[m], e) {

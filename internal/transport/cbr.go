@@ -11,6 +11,13 @@ import (
 // packet every interval. The paper's UDP experiments run all CBR flows at
 // the same rate, high enough to saturate the medium, so goodput differences
 // are purely MAC-layer effects.
+//
+// Each tick schedules the next with AtCall, as wireline's transfers do.
+// A tick is never re-keyed, so the source needs no sim.Timer: the
+// scheduler's keyed-timer heap holds only what is stopped or re-armed,
+// and the ticks, which sit tens of milliseconds out, stay out of every
+// timer sift. A tick takes one seq exactly as a timer arm does, so
+// dispatch keeps its (time, seq) order.
 type CBRSource struct {
 	sched  *sim.Scheduler
 	out    Output
@@ -19,7 +26,7 @@ type CBRSource struct {
 	every  sim.Time
 	jitter float64
 	rng    *rand.Rand
-	timer  *sim.Timer
+	chain  *cbrChain // the live chain of ticks; nil while stopped
 
 	pool *PacketPool
 
@@ -44,7 +51,7 @@ func NewCBRSource(sched *sim.Scheduler, out Output, flow, payloadBytes int, inte
 	if payloadBytes <= 0 {
 		panic(fmt.Sprintf("transport: CBR payload %d must be positive", payloadBytes))
 	}
-	s := &CBRSource{
+	return &CBRSource{
 		sched:  sched,
 		out:    out,
 		flow:   flow,
@@ -53,9 +60,14 @@ func NewCBRSource(sched *sim.Scheduler, out Output, flow, payloadBytes int, inte
 		jitter: 0.01,
 		rng:    sched.RNG(),
 	}
-	s.timer = sim.NewTimer(sched, s.tick)
-	return s
 }
+
+// cbrChain is one chain of ticks, begun by Start. Stop and every later
+// Start retire the live chain: its queued tick still fires, finds that it
+// is no longer its source's chain, and schedules nothing. A stop flag
+// alone would not do, since Stop then Start before the queued tick fires
+// would leave two chains running.
+type cbrChain struct{ src *CBRSource }
 
 // CBRIntervalForRate returns the packet interval that yields rateBps of
 // application payload with the given packet size.
@@ -66,11 +78,15 @@ func CBRIntervalForRate(rateBps float64, payloadBytes int) sim.Time {
 	return sim.FromSeconds(float64(payloadBytes*8) / rateBps)
 }
 
-// Start begins generation immediately.
-func (s *CBRSource) Start() { s.timer.Start(0) }
+// Start begins generation immediately, replacing any running chain of
+// ticks.
+func (s *CBRSource) Start() {
+	s.chain = &cbrChain{src: s}
+	s.sched.AtCall(s.sched.Now(), cbrTick, s.chain)
+}
 
 // Stop halts generation.
-func (s *CBRSource) Stop() { s.timer.Stop() }
+func (s *CBRSource) Stop() { s.chain = nil }
 
 // Offered reports how many packets the source generated.
 func (s *CBRSource) Offered() int64 { return s.offered }
@@ -78,7 +94,13 @@ func (s *CBRSource) Offered() int64 { return s.offered }
 // LocalDrops reports packets rejected by the output (full MAC queue).
 func (s *CBRSource) LocalDrops() int64 { return s.dropped }
 
-func (s *CBRSource) tick() {
+// cbrTick generates one packet and schedules the chain's next tick.
+func cbrTick(x any) {
+	c := x.(*cbrChain)
+	s := c.src
+	if s.chain != c {
+		return
+	}
 	p := s.pool.Get()
 	p.Flow = s.flow
 	p.Seq = s.seq
@@ -94,7 +116,7 @@ func (s *CBRSource) tick() {
 	if s.jitter > 0 {
 		next += sim.Time(float64(s.every) * s.jitter * (2*s.rng.Float64() - 1))
 	}
-	s.timer.Start(next)
+	s.sched.AtCall(s.sched.Now()+next, cbrTick, c)
 }
 
 // UDPSink counts unique packets received on a flow. It implements Agent.

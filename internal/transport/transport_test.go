@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +56,68 @@ func TestCBRSourceGeneratesAtRate(t *testing.T) {
 	if src.Offered() != int64(len(got)) {
 		t.Errorf("Offered = %d, want %d", src.Offered(), len(got))
 	}
+}
+
+// Stop, Start after Stop and a second Start each leave exactly one chain
+// of ticks: the packets after a restart come at the restart time and
+// every interval after it, with seqs that run on unbroken, as a single
+// source's would. A Stop with no later Start silences the source for
+// good. Jitter is off so every tick time is exact.
+func TestCBRSourceRestartKeepsOneChain(t *testing.T) {
+	const restart = 10*sim.Millisecond + 500*sim.Microsecond
+	tests := []struct {
+		name string
+		at   func(src *CBRSource) // runs at the restart time
+		want []sim.Time
+	}{
+		{"stop then start", func(src *CBRSource) { src.Stop(); src.Start() }, ticksFrom(restart)},
+		{"start twice", func(src *CBRSource) { src.Start() }, ticksFrom(restart)},
+		{"start three times", func(src *CBRSource) { src.Start(); src.Start() }, ticksFrom(restart)},
+		{"stop for good", func(src *CBRSource) { src.Stop() }, nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sched := sim.NewScheduler(1)
+			var at []sim.Time
+			seq := 0
+			out := OutputFunc(func(p *Packet) bool {
+				if p.Seq != seq {
+					t.Fatalf("packet %d carries seq %d", seq, p.Seq)
+				}
+				seq++
+				at = append(at, sched.Now())
+				return true
+			})
+			src := NewCBRSource(sched, out, 1, 100, sim.Millisecond)
+			src.jitter = 0
+			src.Start()
+			sched.At(restart, func() { tt.at(src) })
+			sched.RunUntil(30 * sim.Millisecond)
+			if tt.want == nil {
+				sched.Run() // nothing may keep the stopped source alive
+			}
+			want := append(ticksFrom(0)[:11], tt.want...)
+			if !reflect.DeepEqual(at, want) {
+				t.Errorf("ticks at %v, want %v", at, want)
+			}
+			if src.Offered() != int64(len(want)) {
+				t.Errorf("Offered = %d, want %d", src.Offered(), len(want))
+			}
+			if tt.want == nil && sched.Pending() != 0 {
+				t.Errorf("Pending = %d after a stopped source drained, want 0", sched.Pending())
+			}
+		})
+	}
+}
+
+// ticksFrom lists a jitter-free 1 ms source's tick times from start up
+// to 30 ms.
+func ticksFrom(start sim.Time) []sim.Time {
+	var ts []sim.Time
+	for t := start; t <= 30*sim.Millisecond; t += sim.Millisecond {
+		ts = append(ts, t)
+	}
+	return ts
 }
 
 func TestCBRSourceCountsDrops(t *testing.T) {
