@@ -23,7 +23,7 @@ func testSpec() *Spec {
 	}
 }
 
-func mustRun(t *testing.T, spec *Spec, opt Options) *Report {
+func mustRun(t testing.TB, spec *Spec, opt Options) *Report {
 	t.Helper()
 	rep, err := Run(context.Background(), spec, opt)
 	if err != nil {

@@ -281,34 +281,42 @@ func ComputeUnit(u Unit) (result, metricsJSON []byte, err error) {
 }
 
 // assemble is the merge pass: stream every unit's stored bytes into the
-// output directory, in work-list order. result.json files are copied
-// verbatim (they were encoded by the same stable encoder a direct run
-// uses) and the per-unit snapshot arrays are decoded, labeled, and
-// re-emitted as one metrics.jsonl — byte-identical to what a single
+// output directory. result.json files are copied verbatim (they were
+// encoded by the same stable encoder a direct run uses) and the
+// per-unit snapshot arrays are decoded, labeled, and re-emitted as one
+// metrics.jsonl in work-list order — byte-identical to what a single
 // sequential `cmd/experiments -run a,b,… -json dir -metrics file`
-// invocation over the same artifacts and config would write.
+// invocation over the same artifacts and config would write. Units are
+// read, copied and decoded concurrently on the runner's pool; a failure
+// reports the lowest-index failing unit.
 func assemble(store *Store, units []Unit, outDir string) ([]string, error) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: assemble: %w", err)
 	}
-	var files []string
-	var labeled []metrics.Labeled
-	for _, u := range units {
+	snaps, err := runner.Map(len(units), func(i int) ([]*metrics.Snapshot, error) {
+		u := units[i]
 		_, result, metricsJSON, err := store.Get(u.Key)
 		if err != nil {
 			return nil, err
 		}
-		path := filepath.Join(outDir, u.Name()+".json")
-		if err := os.WriteFile(path, result, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(outDir, u.Name()+".json"), result, 0o644); err != nil {
 			return nil, fmt.Errorf("campaign: assemble: %w", err)
 		}
-		files = append(files, path)
 		snaps, err := metrics.DecodeSnapshots(metricsJSON)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: assemble %s: %w", u.Name(), err)
 		}
-		for i, snap := range snaps {
-			labeled = append(labeled, metrics.Labeled{Label: u.Name(), Group: i, Snap: snap})
+		return snaps, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	files := make([]string, 0, len(units)+1)
+	var labeled []metrics.Labeled
+	for i, u := range units {
+		files = append(files, filepath.Join(outDir, u.Name()+".json"))
+		for g, snap := range snaps[i] {
+			labeled = append(labeled, metrics.Labeled{Label: u.Name(), Group: g, Snap: snap})
 		}
 	}
 	sidecar := filepath.Join(outDir, "metrics.jsonl")

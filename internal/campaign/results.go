@@ -6,6 +6,7 @@ import (
 
 	"greedy80211/internal/experiments"
 	"greedy80211/internal/metrics"
+	"greedy80211/internal/runner"
 )
 
 // UnitResult is one unit of a spec read back from the store, decoded:
@@ -37,25 +38,23 @@ func (e *MissingUnitsError) Error() string {
 }
 
 // Results reads every unit of the spec back from the store, decoded, in
-// work-list order. It never computes anything: if any unit is absent it
-// fails with a *MissingUnitsError naming them all, so callers can either
-// run the campaign first or report exactly what is missing.
+// work-list order. It never computes anything. The units are read and
+// decoded concurrently on the runner's pool; a read or decode failure
+// fails the call with the error of the lowest-index failing unit. If
+// units are absent and every present one reads back, Results returns
+// the present units with a *MissingUnitsError naming the absent ones,
+// so callers can run the campaign first, or evaluate what is there and
+// report exactly what is missing.
 func Results(spec *Spec, store *Store) ([]UnitResult, error) {
 	units, err := spec.Units()
 	if err != nil {
 		return nil, err
 	}
-	var missing []Unit
-	for _, u := range units {
+	read, err := runner.Map(len(units), func(i int) (*UnitResult, error) {
+		u := units[i]
 		if !store.Has(u.Key) {
-			missing = append(missing, u)
+			return nil, nil
 		}
-	}
-	if len(missing) > 0 {
-		return nil, &MissingUnitsError{Missing: missing}
-	}
-	out := make([]UnitResult, 0, len(units))
-	for _, u := range units {
 		meta, resultJSON, metricsJSON, err := store.Get(u.Key)
 		if err != nil {
 			return nil, err
@@ -68,7 +67,22 @@ func Results(spec *Spec, store *Store) ([]UnitResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: results %s: %w", u.Name(), err)
 		}
-		out = append(out, UnitResult{Unit: u, Meta: meta, Result: res, Snapshots: snaps})
+		return &UnitResult{Unit: u, Meta: meta, Result: res, Snapshots: snaps}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]UnitResult, 0, len(units))
+	var missing []Unit
+	for i, ur := range read {
+		if ur == nil {
+			missing = append(missing, units[i])
+			continue
+		}
+		out = append(out, *ur)
+	}
+	if len(missing) > 0 {
+		return out, &MissingUnitsError{Missing: missing}
 	}
 	return out, nil
 }

@@ -3,6 +3,8 @@ package campaign
 import (
 	"fmt"
 	"sort"
+
+	"greedy80211/internal/runner"
 )
 
 // UnitStatus is one unit's standing against a store.
@@ -189,16 +191,22 @@ func GC(spec *Spec, store *Store, dryRun bool) (*GCReport, error) {
 }
 
 // Verify checks every committed entry in the store and returns the
-// errors found (empty means the store is sound).
+// errors found in key order (empty means the store is sound). Entries
+// are checked concurrently on the runner's pool.
 func Verify(store *Store) ([]error, error) {
 	keys, err := store.Keys()
 	if err != nil {
 		return nil, err
 	}
+	errs := make([]error, len(keys))
+	runner.Each(len(keys), func(i int) error {
+		errs[i] = store.VerifyEntry(keys[i])
+		return nil // an entry's error is a result, not a failure of the pass
+	})
 	var bad []error
-	for _, key := range keys {
-		if err := store.VerifyEntry(key); err != nil {
-			bad = append(bad, fmt.Errorf("%s: %w", key[:12], err))
+	for i, err := range errs {
+		if err != nil {
+			bad = append(bad, fmt.Errorf("%s: %w", keys[i][:12], err))
 		}
 	}
 	return bad, nil

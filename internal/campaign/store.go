@@ -24,6 +24,8 @@ import (
 // presence is the commit marker — a reader that sees meta sees a
 // complete entry, and a crash mid-commit leaves only unreferenced
 // payload objects that a re-run simply overwrites with identical bytes.
+// That holds for process crashes only: DirBackend does not fsync, so a
+// power loss can leave a committed meta.json beside a short payload.
 type Store struct {
 	b           Backend
 	root        string // "" when the backend is not a local directory

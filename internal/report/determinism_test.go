@@ -3,6 +3,8 @@ package report
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -100,5 +102,50 @@ func TestFromStoreNoComputeColdGates(t *testing.T) {
 	}
 	if rep.Missing != 2 || rep.Gating(false) != 2 {
 		t.Fatalf("cold read-only store: missing=%d gating=%d, want 2/2", rep.Missing, rep.Gating(false))
+	}
+}
+
+// TestFromStoreCorruptUnitFails: in a store with one unit absent and
+// another present but undecodable, the read-only report fails on the
+// corrupt unit instead of counting it as missing with the absent one.
+func TestFromStoreCorruptUnitFails(t *testing.T) {
+	sets := append(quickSets(), &RefSet{
+		Artifact: "tab4",
+		Claim:    "fake ACKs split the senders' CW",
+		Config:   Config{Seeds: 1, Duration: "200ms", Quick: true},
+		Checks: []Check{
+			{ID: "s1-cw", Kind: "cell", Table: 0, Row: 0, Col: "S1_avg_cw", Key: "802.11b no GR",
+				Want: 120, Pass: stats.Band{Rel: 0.25}},
+		},
+	})
+	dir := t.TempDir()
+	store, err := campaign.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromStore(context.Background(), sets, store, true, io.Discard); err != nil {
+		t.Fatalf("FromStore(compute=true): %v", err)
+	}
+	spec := &campaign.Spec{Artifacts: Artifacts(sets),
+		Config: campaign.SpecConfig{Seeds: 1, Duration: "200ms", Quick: true}}
+	units, err := spec.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(u campaign.Unit, file string) string {
+		return filepath.Join(dir, "objects", u.Key[:2], u.Key, file)
+	}
+	if err := os.Remove(entry(units[0], "meta.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry(units[1], "metrics.json"), []byte("[{]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FromStore(context.Background(), sets, store, false, io.Discard)
+	if err == nil {
+		t.Fatalf("FromStore over a corrupt unit: nil error, %d of %d checks missing", rep.Missing, rep.Checks())
+	}
+	if !strings.Contains(err.Error(), units[1].Name()) {
+		t.Errorf("error %q does not name the corrupt unit %s", err, units[1].Name())
 	}
 }

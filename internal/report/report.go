@@ -290,37 +290,22 @@ func FromStore(ctx context.Context, sets []*RefSet, store *campaign.Store, compu
 			return nil, crep.Failures[0].Err
 		}
 	}
+	// A partial store still evaluates what is present: Results returns
+	// the units it read beside a *MissingUnitsError, and the absent
+	// artifacts surface as missing verdicts (which gate). Any other
+	// error — a unit that is present but does not read back — fails.
+	urs, err := campaign.Results(spec, store)
+	var missing *campaign.MissingUnitsError
+	if err != nil && !errors.As(err, &missing) {
+		return nil, err
+	}
 	results := make(map[string]*experiments.Result, len(sets))
 	snaps := make(map[string][]*metrics.Snapshot, len(sets))
-	urs, err := campaign.Results(spec, store)
-	if err != nil {
-		var missing *campaign.MissingUnitsError
-		if !errors.As(err, &missing) {
-			return nil, err
-		}
-		// Partial store: evaluate what is present; absent artifacts
-		// surface as missing verdicts (which gate).
-		urs = presentUnits(spec, store)
-	}
 	for _, ur := range urs {
 		results[ur.Unit.Artifact] = ur.Result
 		snaps[ur.Unit.Artifact] = ur.Snapshots
 	}
 	return Evaluate(sets, results, snaps)
-}
-
-// presentUnits reads back only the units that exist in the store.
-func presentUnits(spec *campaign.Spec, store *campaign.Store) []campaign.UnitResult {
-	var out []campaign.UnitResult
-	for _, id := range spec.Artifacts {
-		one := &campaign.Spec{Artifacts: []string{id}, Config: spec.Config}
-		urs, err := campaign.Results(one, store)
-		if err != nil {
-			continue
-		}
-		out = append(out, urs...)
-	}
-	return out
 }
 
 // artifactLess orders artifact ids in registry order (fig2 before
