@@ -212,14 +212,6 @@ func cmdRun(args []string) int {
 		return 2
 	}
 	opt := campaign.Options{StoreDir: *storeDir, OutDir: *outDir, Log: os.Stdout}
-	if *screen {
-		sets, err := report.LoadEmbedded()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign run: loading refdata for -screen: %v\n", err)
-			return 1
-		}
-		opt.Screen = report.ModelScreen(sets)
-	}
 	if *shard != "" {
 		if _, err := fmt.Sscanf(*shard, "%d/%d", &opt.Shard, &opt.Shards); err != nil ||
 			opt.Shards < 1 || opt.Shard < 0 || opt.Shard >= opt.Shards {
@@ -234,6 +226,16 @@ func cmdRun(args []string) int {
 		return 1
 	}
 	defer stopProf()
+	// After the pool width and the profile: the hook predicts every gated
+	// artifact on the pool when it is built.
+	if *screen {
+		sets, err := report.LoadEmbedded()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "campaign run: loading refdata for -screen: %v\n", err)
+			return 1
+		}
+		opt.Screen = report.ModelScreen(sets)
+	}
 
 	ctx, stop := drainContext("finishing in-flight units, then committing and stopping")
 	defer stop()

@@ -58,7 +58,7 @@ type Options struct {
 	// (FindPrevious), the oracle decides whether that prior result still
 	// agrees with the analytic model — returning true records the unit as
 	// screened instead of simulating it. cmd/campaign run -screen wires
-	// this to report.ModelAgreement over the Markov-chain predictions.
+	// this to report.ModelScreen over the Markov-chain predictions.
 	Screen func(u Unit, prev Meta, result []byte) (ok bool, why string)
 	// Log receives progress lines; nil discards them.
 	Log io.Writer

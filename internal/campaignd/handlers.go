@@ -94,14 +94,22 @@ func readJSON(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// serveBlob writes immutable content-addressed bytes with a strong ETag.
+// Cache-Control values for serveBlob. Content-addressed bytes never
+// change under their ETag; the verdicts document changes whenever a unit
+// commits, so a cache must revalidate it on every use.
+const (
+	cacheImmutable  = "public, max-age=31536000, immutable"
+	cacheRevalidate = "no-cache"
+)
+
+// serveBlob writes bytes with a strong ETag and the given Cache-Control.
 // If the client already holds the bytes (If-None-Match), it gets a 304
 // and the server never touches the payload — the warm-reader fast path
 // the store's sha256 addressing buys.
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, etag, contentType string, body func() ([]byte, error)) {
+func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, etag, cacheControl, contentType string, body func() ([]byte, error)) {
 	quoted := `"` + etag + `"`
 	w.Header().Set("ETag", quoted)
-	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
+	w.Header().Set("Cache-Control", cacheControl)
 	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, quoted) {
 		s.stats.blobNotModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
@@ -377,21 +385,21 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.serveBlob(w, r, key+"/result", "application/json", func() ([]byte, error) {
+	s.serveBlob(w, r, key+"/result", cacheImmutable, "application/json", func() ([]byte, error) {
 		return s.store.GetResult(key)
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.serveBlob(w, r, key+"/metrics", "application/json", func() ([]byte, error) {
+	s.serveBlob(w, r, key+"/metrics", cacheImmutable, "application/json", func() ([]byte, error) {
 		return s.store.GetMetrics(key)
 	})
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.serveBlob(w, r, key+"/meta", "application/json", func() ([]byte, error) {
+	s.serveBlob(w, r, key+"/meta", cacheImmutable, "application/json", func() ([]byte, error) {
 		meta, err := s.store.GetMeta(key)
 		if err != nil {
 			return nil, err
@@ -409,7 +417,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 // handleVerdicts evaluates the reproduction gate read-only against the
 // store (never simulating) and serves the verdicts document — the same
 // codec cmd/report writes to verdicts.json. The ETag is the sha256 of
-// the body, so pollers watching a stable store get 304s.
+// the body, so pollers watching a stable store get 304s; the body
+// changes whenever a unit commits, so caches must revalidate it.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	sets, err := s.refSets()
 	if err != nil {
@@ -427,7 +436,7 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	s.serveBlob(w, r, hex.EncodeToString(sum[:]), "application/json", func() ([]byte, error) {
+	s.serveBlob(w, r, hex.EncodeToString(sum[:]), cacheRevalidate, "application/json", func() ([]byte, error) {
 		return buf.Bytes(), nil
 	})
 }
@@ -459,7 +468,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cacheName := "traces/" + key[:2] + "/" + key + "/" + format
-	s.serveBlob(w, r, key+"/trace-"+format, contentType, func() ([]byte, error) {
+	s.serveBlob(w, r, key+"/trace-"+format, cacheImmutable, contentType, func() ([]byte, error) {
 		if data, err := s.store.Backend().Get(cacheName); err == nil {
 			s.stats.tracesCached.Add(1)
 			return data, nil

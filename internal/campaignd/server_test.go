@@ -14,6 +14,7 @@ import (
 	"greedy80211/internal/campaign"
 	"greedy80211/internal/core"
 	"greedy80211/internal/obs"
+	"greedy80211/internal/report"
 )
 
 func testSpec() *campaign.Spec {
@@ -479,7 +480,7 @@ func TestServerRefusedUploadThenFailCountsOnce(t *testing.T) {
 }
 
 func TestServerVerdictsConditional(t *testing.T) {
-	_, ts, _ := newTestServer(t, 0, nil)
+	_, ts, store := newTestServer(t, 0, nil)
 	resp, err := http.Get(ts.URL + "/v1/verdicts")
 	if err != nil {
 		t.Fatal(err)
@@ -501,16 +502,58 @@ func TestServerVerdictsConditional(t *testing.T) {
 	if vd.Missing == 0 || len(vd.Artifacts) == 0 {
 		t.Errorf("empty store must yield missing verdicts: %s", body)
 	}
+	// The body changes whenever a unit commits, so no cache may keep it
+	// without revalidating.
+	if cc := resp.Header.Get("Cache-Control"); strings.Contains(cc, "immutable") {
+		t.Errorf("verdicts Cache-Control %q says immutable", cc)
+	}
 	etag := resp.Header.Get("ETag")
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/verdicts", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
+	conditional := func() *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest("GET", ts.URL+"/v1/verdicts", nil)
+		req.Header.Set("If-None-Match", etag)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := conditional(); resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("stable store, same ETag: %d", resp.StatusCode)
+	}
+
+	// Commit one gated unit at the refdata profile: the old ETag must now
+	// get the new body.
+	sets, err := report.LoadEmbedded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("stable store, same ETag: %d", resp.StatusCode)
+	cfg, err := report.SharedConfig(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &campaign.Spec{
+		Artifacts: []string{"fig1"},
+		Config:    campaign.SpecConfig{Seeds: cfg.Seeds, Duration: cfg.Duration, Quick: cfg.Quick},
+	}
+	units, err := spec.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, metrics, err := campaign.ComputeUnit(units[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(metaFor(units[0], core.ModuleFingerprint()), result, metrics); err != nil {
+		t.Fatal(err)
+	}
+	resp = conditional()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after a commit, old ETag: %d, want 200", resp.StatusCode)
+	}
+	if got := resp.Header.Get("ETag"); got == "" || got == etag {
+		t.Errorf("after a commit, ETag %q, was %q", got, etag)
 	}
 }
 

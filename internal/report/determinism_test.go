@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -54,6 +55,55 @@ func TestReportSequentialMatchesParallel(t *testing.T) {
 	par := renderFresh(t, sets)
 	if seq != par {
 		t.Error("sequential and parallel reports differ byte-wise")
+	}
+}
+
+// TestEvaluateIndependentOfPoolWidth: Evaluate predicts every set's
+// artifact across the runner's pool, so the report and both renderings
+// must be byte-identical at widths 1 and 8. One extra model-banded set
+// gates an artifact with no predictor; it reads missing at both widths.
+func TestEvaluateIndependentOfPoolWidth(t *testing.T) {
+	sets, err := LoadEmbedded()
+	if err != nil {
+		t.Fatalf("LoadEmbedded: %v", err)
+	}
+	sets = append(sets, &RefSet{
+		Artifact: "fig3",
+		Claim:    "no model predictor",
+		Config:   sets[0].Config,
+		Checks: []Check{{ID: "unpredicted", Kind: "point", Series: "ratio", X: 0,
+			Want: 0.5, Pass: stats.Band{Rel: 0.1},
+			ModelPass: stats.Band{Rel: 0.2}, ModelFail: stats.Band{Rel: 0.5}}},
+	})
+	defer runner.SetLimit(runner.Limit())
+	type out struct {
+		md, verdicts string
+		modelMissing int
+	}
+	at := func(width int) out {
+		runner.SetLimit(width)
+		rep, err := Evaluate(sets, nil, nil)
+		if err != nil {
+			t.Fatalf("Evaluate at width %d: %v", width, err)
+		}
+		var md strings.Builder
+		RenderMarkdown(&md, rep, nil)
+		var v bytes.Buffer
+		if err := WriteVerdicts(&v, rep); err != nil {
+			t.Fatalf("WriteVerdicts at width %d: %v", width, err)
+		}
+		return out{md.String(), v.String(), rep.ModelMissing}
+	}
+	seq, par := at(1), at(8)
+	if seq.md != par.md {
+		t.Error("RenderMarkdown differs between pool widths 1 and 8")
+	}
+	if seq.verdicts != par.verdicts {
+		t.Error("WriteVerdicts differs between pool widths 1 and 8")
+	}
+	if seq.modelMissing != 1 || par.modelMissing != 1 {
+		t.Errorf("ModelMissing %d at width 1, %d at width 8, want 1 (the unpredicted set)",
+			seq.modelMissing, par.modelMissing)
 	}
 }
 

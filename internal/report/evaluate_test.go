@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -146,5 +147,29 @@ func TestVerdictsJSONStable(t *testing.T) {
 	// NaN measurements must encode as null, not break the encoder.
 	if !strings.Contains(a.String(), `"got": null`) {
 		t.Errorf("missing check should encode got: null; got:\n%s", a.String())
+	}
+}
+
+// BenchmarkEvaluate times the report stage over the embedded golden
+// sets: Evaluate, then RenderMarkdown and WriteVerdicts. Every
+// measurement is missing, so nothing simulates, but every artifact's
+// analytic predictions are made — the model tier is most of the stage.
+func BenchmarkEvaluate(b *testing.B) {
+	sets, err := LoadEmbedded()
+	if err != nil {
+		b.Fatalf("LoadEmbedded: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Evaluate(sets, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var md strings.Builder
+		RenderMarkdown(&md, rep, nil)
+		if err := WriteVerdicts(io.Discard, rep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

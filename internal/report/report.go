@@ -26,6 +26,7 @@ import (
 	"greedy80211/internal/core"
 	"greedy80211/internal/experiments"
 	"greedy80211/internal/metrics"
+	"greedy80211/internal/runner"
 	"greedy80211/internal/stats"
 )
 
@@ -168,7 +169,8 @@ func Evaluate(sets []*RefSet, results map[string]*experiments.Result,
 		return nil, err
 	}
 	rep := &Report{Module: core.ModuleFingerprint(), Config: cfg}
-	for _, set := range sets {
+	preds := predictAll(sets)
+	for i, set := range sets {
 		reg, _ := experiments.Lookup(set.Artifact)
 		ar := &ArtifactReport{
 			Artifact:  set.Artifact,
@@ -178,7 +180,6 @@ func Evaluate(sets []*RefSet, results map[string]*experiments.Result,
 			Result:    results[set.Artifact],
 			Snapshots: snaps[set.Artifact],
 		}
-		pred := predictions(set.Artifact)
 		for _, c := range set.Checks {
 			got, gotText := math.NaN(), ""
 			if ar.Result != nil {
@@ -187,7 +188,7 @@ func Evaluate(sets []*RefSet, results map[string]*experiments.Result,
 			v := classify(c, got, gotText)
 			cr := CheckResult{Check: c, Got: got, GotText: gotText, Verdict: v, Model: math.NaN()}
 			if c.HasModel() {
-				model, ok := pred[c.ID]
+				model, ok := preds[i][c.ID]
 				if ok {
 					cr.Model = model
 					cr.ModelVerdict = stats.Classify(model, c.Want, c.ModelPass, c.ModelFail)
@@ -232,6 +233,18 @@ func predictions(artifact string) map[string]float64 {
 		return nil
 	}
 	return pred.Values
+}
+
+// predictAll evaluates predictions for every set across the runner's
+// pool, collected by set index. Each artifact's solve is independent and
+// a pure function of the artifact, so the maps do not depend on the
+// pool's width.
+func predictAll(sets []*RefSet) []map[string]float64 {
+	// No task fails: a failed prediction is an empty map.
+	preds, _ := runner.Map(len(sets), func(i int) (map[string]float64, error) {
+		return predictions(sets[i].Artifact), nil
+	})
+	return preds
 }
 
 // ComputeFresh regenerates every gated artifact at the shared profile —

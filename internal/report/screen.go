@@ -18,17 +18,26 @@ import (
 // model-banded checks never agree: screening only ever stands on an
 // explicit model claim.
 func ModelAgreement(sets []*RefSet, artifact string, res *experiments.Result) (bool, string) {
-	var set *RefSet
-	for _, s := range sets {
-		if s.Artifact == artifact {
-			set = s
-			break
-		}
-	}
-	if set == nil {
+	i := setIndex(sets, artifact)
+	if i < 0 {
 		return false, fmt.Sprintf("no golden set for %s", artifact)
 	}
-	pred := predictions(artifact)
+	return agreement(sets[i], predictions(artifact), res)
+}
+
+// setIndex returns the index of the first set gating artifact, or -1.
+func setIndex(sets []*RefSet, artifact string) int {
+	for i, s := range sets {
+		if s.Artifact == artifact {
+			return i
+		}
+	}
+	return -1
+}
+
+// agreement judges res against the set's model-banded checks, given the
+// artifact's predictions.
+func agreement(set *RefSet, pred map[string]float64, res *experiments.Result) (bool, string) {
 	covered := 0
 	for _, c := range set.Checks {
 		if !c.HasModel() {
@@ -49,21 +58,28 @@ func ModelAgreement(sets []*RefSet, artifact string, res *experiments.Result) (b
 		}
 	}
 	if covered == 0 {
-		return false, fmt.Sprintf("%s has no model-banded checks", artifact)
+		return false, fmt.Sprintf("%s has no model-banded checks", set.Artifact)
 	}
 	return true, fmt.Sprintf("model agrees on %d/%d model-banded checks", covered, covered)
 }
 
-// ModelScreen adapts ModelAgreement into a campaign.Options.Screen
+// ModelScreen makes ModelAgreement's judgment a campaign.Options.Screen
 // hook: it decodes the previous-module result bytes and asks whether
-// the analytic model still vouches for them.
+// the analytic model still vouches for them. Every set's predictions
+// are made once, when the hook is built, since they depend on the
+// artifact alone.
 func ModelScreen(sets []*RefSet) func(u campaign.Unit, prev campaign.Meta, result []byte) (bool, string) {
+	preds := predictAll(sets)
 	return func(u campaign.Unit, prev campaign.Meta, result []byte) (bool, string) {
 		res, err := experiments.DecodeResult(result)
 		if err != nil {
 			return false, fmt.Sprintf("previous result undecodable: %v", err)
 		}
-		ok, why := ModelAgreement(sets, u.Artifact, res)
+		i := setIndex(sets, u.Artifact)
+		if i < 0 {
+			return false, fmt.Sprintf("no golden set for %s", u.Artifact)
+		}
+		ok, why := agreement(sets[i], preds[i], res)
 		if ok {
 			why = fmt.Sprintf("%s (prev module %s)", why, shortModule(prev.Module))
 		}

@@ -109,3 +109,52 @@ func TestModelScreenHook(t *testing.T) {
 		t.Error("hook accepted undecodable bytes")
 	}
 }
+
+// TestModelScreenMatchesAgreement pins the hook's predictions-once path
+// to ModelAgreement, which predicts per call: for every unit of a
+// two-base-seed campaign at the refdata profile, including one artifact
+// with no golden set, both give the same decision and reason.
+func TestModelScreenMatchesAgreement(t *testing.T) {
+	sets, err := LoadEmbedded()
+	if err != nil {
+		t.Fatalf("LoadEmbedded: %v", err)
+	}
+	cfg, err := SharedConfig(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &campaign.Spec{
+		Artifacts: []string{"fig1", "fig2", "tab4", "extc", "tab3"},
+		Config:    campaign.SpecConfig{Seeds: cfg.Seeds, Duration: cfg.Duration, Quick: cfg.Quick},
+		BaseSeeds: []int64{1, 2},
+	}
+	units, err := spec.Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := ModelScreen(sets)
+	prev := campaign.Meta{Module: "previous-module-fingerprint"}
+	agreed := 0
+	for _, u := range units {
+		raw, _, err := campaign.ComputeUnit(u)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name(), err)
+		}
+		res, err := experiments.DecodeResult(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name(), err)
+		}
+		wantOK, wantWhy := ModelAgreement(sets, u.Artifact, res)
+		if wantOK {
+			agreed++
+			wantWhy += " (prev module previous-mod)"
+		}
+		if ok, why := hook(u, prev, raw); ok != wantOK || why != wantWhy {
+			t.Errorf("%s: screen (%v, %q), ModelAgreement (%v, %q)", u.Name(), ok, why, wantOK, wantWhy)
+		}
+	}
+	t.Logf("%d of %d units agree with the model", agreed, len(units))
+	if agreed == 0 || agreed == len(units) {
+		t.Errorf("%d of %d units agree: the comparison should cover both decisions", agreed, len(units))
+	}
+}
