@@ -5,66 +5,85 @@
 package analytic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CWDist is a probability distribution over contention-window values (the
-// inclusive upper bound of the uniform backoff draw). It is typically
-// measured from a simulation run's CW samples.
-type CWDist map[int]float64
+// inclusive upper bound of the uniform backoff draw) on strictly ascending
+// windows. Every sum over a mixture runs in that order, so model output is
+// bit-identical across runs — the report gate diffs it byte-for-byte.
+type CWDist []CWWeight
 
-// Normalize scales the distribution to sum to one. It returns an error for
-// an empty or non-positive distribution.
-func (d CWDist) Normalize() error {
-	// Summing in sorted-support order keeps the result bit-identical
-	// across runs (map iteration order would perturb the last ulp).
+// CWWeight is the probability P of one contention window CW.
+type CWWeight struct {
+	CW int
+	P  float64
+}
+
+// sum returns the total weight, or the error Normalize documents.
+func (d CWDist) sum() (float64, error) {
 	var sum float64
-	for _, cw := range d.sortedCWs() {
-		p := d[cw]
-		if cw < 0 || p < 0 {
-			return fmt.Errorf("analytic: invalid CW entry %d -> %v", cw, p)
+	for j, w := range d {
+		if w.CW < 0 || w.P < 0 {
+			return 0, fmt.Errorf("analytic: invalid CW entry %d -> %v", w.CW, w.P)
 		}
-		sum += p
+		if j > 0 && w.CW <= d[j-1].CW {
+			return 0, fmt.Errorf("analytic: CW windows not strictly ascending (%d after %d)", w.CW, d[j-1].CW)
+		}
+		sum += w.P
 	}
 	if sum <= 0 {
-		return fmt.Errorf("analytic: empty CW distribution")
+		return 0, fmt.Errorf("analytic: empty CW distribution")
 	}
-	for cw := range d {
-		d[cw] /= sum
+	return sum, nil
+}
+
+// Normalize scales the distribution to sum to one. It rejects a negative
+// window or weight, windows that are not strictly ascending, and a
+// zero-sum distribution.
+func (d CWDist) Normalize() error {
+	sum, err := d.sum()
+	if err != nil {
+		return err
+	}
+	for j := range d {
+		d[j].P /= sum
 	}
 	return nil
 }
 
-// FromSamples builds a CWDist from observed CW draws.
-func FromSamples(samples []int) CWDist {
-	d := make(CWDist)
-	for _, cw := range samples {
-		d[cw]++
+// add puts weight p on window cw at its sorted place. A window already
+// present accumulates p in call order.
+func (d *CWDist) add(cw int, p float64) {
+	if j, found := slices.BinarySearchFunc(*d, cw, func(w CWWeight, cw int) int { return cmp.Compare(w.CW, cw) }); found {
+		(*d)[j].P += p
+	} else {
+		*d = slices.Insert(*d, j, CWWeight{CW: cw, P: p})
 	}
-	if len(samples) > 0 {
-		for cw := range d {
-			d[cw] /= float64(len(samples))
-		}
+}
+
+// FromCounts builds a CWDist from a histogram of observed CW draws. An
+// empty or all-zero histogram gives an empty distribution.
+func FromCounts(hist map[int]int64) CWDist {
+	var total int64
+	for _, n := range hist {
+		total += n
+	}
+	if total == 0 {
+		return nil
+	}
+	var d CWDist
+	for cw, n := range hist {
+		d.add(cw, float64(n)/float64(total))
 	}
 	return d
 }
 
 // Single returns the distribution concentrated at one CW value.
-func Single(cw int) CWDist { return CWDist{cw: 1} }
-
-// sortedCWs returns the distribution's support in ascending order. Every
-// sum over a mixture iterates in this order so results are bit-identical
-// across runs — the report gate diffs model output byte-for-byte.
-func (d CWDist) sortedCWs() []int {
-	cws := make([]int, 0, len(d))
-	for cw := range d {
-		cws = append(cws, cw)
-	}
-	sort.Ints(cws)
-	return cws
-}
+func Single(cw int) CWDist { return CWDist{{CW: cw, P: 1}} }
 
 // backoffCDFAtLeast reports Pr[B ≥ x] for B uniform on [0..cw].
 func backoffCDFAtLeast(cw, x int) float64 {
@@ -90,21 +109,6 @@ func backoffCDFAtMost(cw, x int) float64 {
 	}
 }
 
-// mixture is a CWDist's support in ascending order with its weights in
-// parallel, so hot loops sum without sorting or map lookups.
-type mixture struct {
-	cws     []int
-	weights []float64
-}
-
-func (d CWDist) mixture() mixture {
-	m := mixture{cws: d.sortedCWs(), weights: make([]float64, len(d))}
-	for j, cw := range m.cws {
-		m.weights[j] = d[cw]
-	}
-	return m
-}
-
 // cdfTable holds x ↦ Σ_j w_j·cdf(cw_j, x) for x in [lo, lo+len(vals)),
 // a range outside which the sum is constant: at clamps x into it.
 type cdfTable struct {
@@ -123,14 +127,13 @@ func (t cdfTable) at(x int) float64 {
 }
 
 // tabulate evaluates the mixture's CDF sum on [lo, hi], each entry summed
-// in ascending-CW order so it is bit-identical across runs — the report
-// gate diffs model output byte-for-byte.
-func (m mixture) tabulate(lo, hi int, cdf func(cw, x int) float64) cdfTable {
+// in ascending-CW order.
+func (d CWDist) tabulate(lo, hi int, cdf func(cw, x int) float64) cdfTable {
 	t := cdfTable{lo: lo, vals: make([]float64, hi-lo+1)}
 	for k := range t.vals {
 		var p float64
-		for j, cw := range m.cws {
-			p += m.weights[j] * cdf(cw, lo+k)
+		for _, w := range d {
+			p += w.P * cdf(w.CW, lo+k)
 		}
 		t.vals[k] = p
 	}
@@ -139,31 +142,33 @@ func (m mixture) tabulate(lo, hi int, cdf func(cw, x int) float64) cdfTable {
 
 // atLeast tabulates Pr[B ≥ x] under the mixture: every draw is ≥ 0, and
 // none exceeds the largest CW.
-func (m mixture) atLeast() cdfTable {
-	return m.tabulate(0, m.cws[len(m.cws)-1]+1, backoffCDFAtLeast)
+func (d CWDist) atLeast() cdfTable {
+	return d.tabulate(0, d[len(d)-1].CW+1, backoffCDFAtLeast)
 }
 
 // atMost tabulates Pr[B ≤ x] under the mixture: no draw is below 0, and
 // every draw is at most the largest CW.
-func (m mixture) atMost() cdfTable {
-	return m.tabulate(-1, m.cws[len(m.cws)-1], backoffCDFAtMost)
+func (d CWDist) atMost() cdfTable {
+	return d.tabulate(-1, d[len(d)-1].CW, backoffCDFAtMost)
 }
 
 // SendProbabilities evaluates Equations 1 and 2: the per-round
 // transmission probabilities of the greedy sender GS and the normal sender
 // NS when the greedy receiver's NAV inflation gives GS a vSlots head start.
+// Both distributions must pass the checks Normalize makes.
 //
 //	Pr[GS sends] = Pr[B_GS ≤ B_NS + v + 1]
 //	Pr[NS sends] = Pr[B_NS ≤ B_GS − v + 1]
 func SendProbabilities(gs, ns CWDist, vSlots int) (pGS, pNS float64, err error) {
-	if len(gs) == 0 || len(ns) == 0 {
-		return 0, 0, fmt.Errorf("analytic: empty CW distribution")
+	for _, d := range []CWDist{gs, ns} {
+		if _, err := d.sum(); err != nil {
+			return 0, 0, err
+		}
 	}
-	g, n := gs.mixture(), ns.mixture()
-	atLeast, atMost := n.atLeast(), n.atMost()
-	for k, cwGS := range g.cws {
-		pI := g.weights[k] / float64(cwGS+1) // Pr[B_GS = i]
-		for i := 0; i <= cwGS; i++ {
+	atLeast, atMost := ns.atLeast(), ns.atMost()
+	for _, w := range gs {
+		pI := w.P / float64(w.CW+1) // Pr[B_GS = i]
+		for i := 0; i <= w.CW; i++ {
 			// Eq 1: GS sends when B_GS ≤ B_NS + v + 1 ⇔ B_NS ≥ i − v − 1.
 			pGS += pI * atLeast.at(i-vSlots-1)
 			// Eq 2: NS sends when B_NS ≤ B_GS − v + 1 = i − v + 1.

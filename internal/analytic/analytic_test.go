@@ -2,33 +2,37 @@ package analytic
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestCWDistNormalize(t *testing.T) {
-	d := CWDist{31: 2, 63: 2}
+	d := CWDist{{31, 2}, {63, 2}}
 	if err := d.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if d[31] != 0.5 || d[63] != 0.5 {
-		t.Errorf("normalized = %v", d)
+	if want := (CWDist{{31, 0.5}, {63, 0.5}}); !slices.Equal(d, want) {
+		t.Errorf("normalized = %v, want %v", d, want)
 	}
 	if err := (CWDist{}).Normalize(); err == nil {
 		t.Error("empty dist normalized")
 	}
-	if err := (CWDist{-1: 1}).Normalize(); err == nil {
+	if err := (CWDist{{-1, 1}}).Normalize(); err == nil {
 		t.Error("negative CW accepted")
 	}
 }
 
-func TestFromSamples(t *testing.T) {
-	d := FromSamples([]int{31, 31, 63, 127})
-	if d[31] != 0.5 || d[63] != 0.25 || d[127] != 0.25 {
-		t.Errorf("FromSamples = %v", d)
+func TestFromCounts(t *testing.T) {
+	d := FromCounts(map[int]int64{127: 1, 31: 2, 63: 1})
+	if want := (CWDist{{31, 0.5}, {63, 0.25}, {127, 0.25}}); !slices.Equal(d, want) {
+		t.Errorf("FromCounts = %v, want %v", d, want)
 	}
-	if len(FromSamples(nil)) != 0 {
-		t.Error("empty samples should yield empty dist")
+	if len(FromCounts(nil)) != 0 {
+		t.Error("empty histogram should yield empty dist")
+	}
+	if len(FromCounts(map[int]int64{31: 0})) != 0 {
+		t.Error("all-zero histogram should yield empty dist")
 	}
 }
 
@@ -79,7 +83,7 @@ func TestSendProbabilitiesBiggerNSWindowHurtsNS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SendingRatio(gs, CWDist{31: 0.3, 255: 0.4, 1023: 0.3}, 5)
+	r2, err := SendingRatio(gs, CWDist{{31, 0.3}, {255, 0.4}, {1023, 0.3}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +93,13 @@ func TestSendProbabilitiesBiggerNSWindowHurtsNS(t *testing.T) {
 }
 
 func TestSendProbabilitiesErrors(t *testing.T) {
-	if _, _, err := SendProbabilities(CWDist{}, Single(31), 0); err == nil {
-		t.Error("empty GS dist accepted")
-	}
-	if _, err := SendingRatio(Single(31), CWDist{}, 0); err == nil {
-		t.Error("empty NS dist accepted")
+	for name, d := range invalidDists {
+		if _, _, err := SendProbabilities(d, Single(31), 0); err == nil {
+			t.Errorf("%s GS dist accepted", name)
+		}
+		if _, err := SendingRatio(Single(31), d, 0); err == nil {
+			t.Errorf("%s NS dist accepted", name)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func (c Chain) Solve(q float64) (ChainResult, error) {
 	// states on average. tau = Σ r_i / Σ r_i (W_i+2)/2, which reduces
 	// exactly to the closed-form Bianchi tau for the infinite chain.
 	var visits, occupancy, cwWeighted float64
-	dist := make(CWDist, len(ws))
+	dist := make(CWDist, 0, len(ws))
 	r := 1.0
 	for i, w := range ws {
 		ri := r
@@ -116,7 +116,7 @@ func (c Chain) Solve(q float64) (ChainResult, error) {
 		occupancy += ri * float64(w+2) / 2
 		cwWeighted += ri * float64(w)
 		if ri > 0 {
-			dist[w] += ri
+			dist.add(w, ri)
 		}
 		r *= q
 	}

@@ -30,6 +30,7 @@ func TestChainReducesToBianchi(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Solve(%v): %v", q, err)
 			}
+			checkChainDist(t, got.Dist)
 			want := bianchiTau(q, band.CWMin, band.CWMax)
 			if math.Abs(got.Tau-want) > 1e-12*want {
 				t.Errorf("CW [%d,%d] q=%v: chain tau %v != Bianchi %v",
@@ -54,7 +55,7 @@ func TestChainZeroFailure(t *testing.T) {
 	if r.AvgBackoffSlots != 15.5 {
 		t.Errorf("AvgBackoffSlots at q=0: %v, want 15.5", r.AvgBackoffSlots)
 	}
-	if len(r.Dist) != 1 || math.Abs(r.Dist[31]-1) > 1e-15 {
+	if len(r.Dist) != 1 || r.Dist[0].CW != 31 || math.Abs(r.Dist[0].P-1) > 1e-15 {
 		t.Errorf("Dist at q=0: %v, want all mass at 31", r.Dist)
 	}
 	if r.DropProb != 0 {
@@ -86,6 +87,7 @@ func TestChainFiniteRetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkChainDist(t, r.Dist)
 		if r.Tau <= prevTau {
 			t.Errorf("R=%d: tau %v did not grow as retries shrank", limit, r.Tau)
 		}
@@ -110,17 +112,29 @@ func TestChainAvgCWMonotoneInFailure(t *testing.T) {
 		if r.AvgCW <= prev {
 			t.Errorf("AvgCW not monotone at q=%v: %v <= %v", q, r.AvgCW, prev)
 		}
-		if sum := distSum(r.Dist); math.Abs(sum-1) > 1e-12 {
-			t.Errorf("Dist at q=%v sums to %v", q, sum)
-		}
+		checkChainDist(t, r.Dist)
 		prev = r.AvgCW
+	}
+}
+
+// checkChainDist requires a solved chain's mixture to sum to one on
+// strictly ascending windows — stages capped at CWMax share one entry.
+func checkChainDist(t *testing.T, d CWDist) {
+	t.Helper()
+	if sum := distSum(d); math.Abs(sum-1) > 1e-12 {
+		t.Errorf("Dist %v sums to %v", d, sum)
+	}
+	for j := 1; j < len(d); j++ {
+		if d[j].CW <= d[j-1].CW {
+			t.Errorf("Dist %v: windows not strictly ascending", d)
+		}
 	}
 }
 
 func distSum(d CWDist) float64 {
 	var s float64
-	for _, p := range d {
-		s += p
+	for _, w := range d {
+		s += w.P
 	}
 	return s
 }

@@ -116,38 +116,40 @@ func (r *ModelResult) Class(name string) *ClassResult {
 	return nil
 }
 
-func (m Model) validate() error {
+// validate returns the inflating class's index (-1: none), or an error.
+func (m Model) validate() (int, error) {
 	if len(m.Classes) == 0 {
-		return fmt.Errorf("analytic: model with no classes")
+		return 0, fmt.Errorf("analytic: model with no classes")
 	}
-	inflaters := 0
-	for _, c := range m.Classes {
+	g, inflaters := -1, 0
+	for i, c := range m.Classes {
 		if c.N < 1 {
-			return fmt.Errorf("analytic: class %q has %d stations", c.Name, c.N)
+			return 0, fmt.Errorf("analytic: class %q has %d stations", c.Name, c.N)
 		}
 		if c.PayloadBytes <= 0 {
-			return fmt.Errorf("analytic: class %q payload %d", c.Name, c.PayloadBytes)
+			return 0, fmt.Errorf("analytic: class %q payload %d", c.Name, c.PayloadBytes)
 		}
 		if c.OverheadBytes < 0 {
-			return fmt.Errorf("analytic: class %q overhead %d", c.Name, c.OverheadBytes)
+			return 0, fmt.Errorf("analytic: class %q overhead %d", c.Name, c.OverheadBytes)
 		}
 		if c.SuppressCWGrowth < 0 || c.SuppressCWGrowth > 1 {
-			return fmt.Errorf("analytic: class %q CW suppression %v outside [0, 1]", c.Name, c.SuppressCWGrowth)
+			return 0, fmt.Errorf("analytic: class %q CW suppression %v outside [0, 1]", c.Name, c.SuppressCWGrowth)
 		}
 		if err := c.Chain.validate(); err != nil {
-			return err
+			return 0, err
 		}
 		if c.InflateSlots > 0 {
+			g = i
 			inflaters++
 		}
 	}
 	if inflaters > 1 {
-		return fmt.Errorf("analytic: %d inflating classes, at most 1 supported", inflaters)
+		return 0, fmt.Errorf("analytic: %d inflating classes, at most 1 supported", inflaters)
 	}
 	if m.Hidden && inflaters > 0 {
-		return fmt.Errorf("analytic: hidden mode cannot combine with NAV inflation")
+		return 0, fmt.Errorf("analytic: hidden mode cannot combine with NAV inflation")
 	}
-	return nil
+	return g, nil
 }
 
 // exchangeTimes returns the success and collision durations of one
@@ -170,33 +172,28 @@ func (m Model) exchangeTimes(c Class) (tSuccess, tCollision sim.Time) {
 }
 
 // raceScales evaluates the Equations 1–2 race between the inflating
-// class and the pooled fair stations, returning the per-class factors by
-// which NAV inflation rescales transmission rates: the victims' factor is
-// pF(v)/pF(0), the rate at which any fair station still wins a contention
-// round relative to the fair race.
-func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
+// class g (negative when none inflates) and the pooled fair stations,
+// returning the per-class factors by which NAV inflation rescales
+// transmission rates: the victims' factor is pF(v)/pF(0), the rate at
+// which any fair station still wins a contention round relative to the
+// fair race.
+func raceScales(classes []Class, chains []ChainResult, g int) ([]float64, error) {
 	scales := make([]float64, len(classes))
 	for i := range scales {
 		scales[i] = 1
-	}
-	g := -1
-	for i, c := range classes {
-		if c.InflateSlots > 0 {
-			g = i
-		}
 	}
 	if g < 0 {
 		return scales, nil
 	}
 	// Pool the fair stations' CW mixtures, weighted by population.
-	fair := make(CWDist)
+	var fair CWDist
 	nFair := 0
 	for i, c := range classes {
 		if i == g || c.RaceExempt {
 			continue
 		}
-		for _, cw := range chains[i].Dist.sortedCWs() {
-			fair[cw] += chains[i].Dist[cw] * float64(c.N)
+		for _, w := range chains[i].Dist {
+			fair.add(w.CW, w.P*float64(c.N))
 		}
 		nFair += c.N
 	}
@@ -210,17 +207,16 @@ func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
 	// head start v); the complement is every fair draw ≥ B_GS − v + 2.
 	// fairWin.at(x) = 1 − Pr[B_F ≥ x]^nFair is the fair side's round-win
 	// probability at x = B_GS − v + 2, tabulated once for both races.
-	fairWin := fair.mixture().atLeast()
+	fairWin := fair.atLeast()
 	for k, p := range fairWin.vals {
 		fairWin.vals[k] = 1 - math.Pow(p, float64(nFair))
 	}
-	greedy := chains[g].Dist.mixture()
 	// Round-win probabilities against the minimum of nFair fair draws.
 	pFairWins := func(v int) float64 {
 		var pF float64
-		for k, cwG := range greedy.cws {
-			pI := greedy.weights[k] / float64(cwG+1)
-			for i := 0; i <= cwG; i++ {
+		for _, w := range chains[g].Dist {
+			pI := w.P / float64(w.CW+1)
+			for i := 0; i <= w.CW; i++ {
 				if term := fairWin.at(i - v + 2); term > 0 {
 					pF += pI * term
 				}
@@ -244,7 +240,8 @@ func raceScales(classes []Class, chains []ChainResult) ([]float64, error) {
 
 // Solve runs the damped multi-class fixed point.
 func (m Model) Solve() (*ModelResult, error) {
-	if err := m.validate(); err != nil {
+	gIdx, err := m.validate()
+	if err != nil {
 		return nil, err
 	}
 	maxIter := m.MaxIter
@@ -270,7 +267,6 @@ func (m Model) Solve() (*ModelResult, error) {
 	}
 	chains := make([]ChainResult, k)
 	tauEff := make([]float64, k)
-	scales := make([]float64, k)
 
 	vuln := 1
 	if m.Hidden {
@@ -302,19 +298,12 @@ func (m Model) Solve() (*ModelResult, error) {
 			}
 			chains[i] = cr
 		}
-		sc, err := raceScales(m.Classes, chains)
+		scales, err := raceScales(m.Classes, chains, gIdx)
 		if err != nil {
 			return 0, err
 		}
-		copy(scales, sc)
 		for i := range m.Classes {
 			tauEff[i] = chains[i].Tau * scales[i]
-		}
-		gIdx := -1
-		for i, c := range m.Classes {
-			if c.InflateSlots > 0 {
-				gIdx = i
-			}
 		}
 		var residual float64
 		for i, c := range m.Classes {

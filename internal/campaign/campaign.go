@@ -18,6 +18,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -78,8 +79,8 @@ func SpecConfigOf(cfg experiments.RunConfig) SpecConfig {
 	}
 }
 
-// LoadSpec reads a JSON spec file, rejecting unknown fields so typos in
-// a campaign file fail loudly instead of silently running the defaults.
+// LoadSpec reads a JSON spec file, rejecting unknown fields and trailing
+// data so a typo or a second spec fails loudly instead of being ignored.
 func LoadSpec(path string) (*Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -91,6 +92,9 @@ func LoadSpec(path string) (*Spec, error) {
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("campaign: parsing spec %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("campaign: parsing spec %s: trailing data after the spec", path)
 	}
 	return &s, nil
 }

@@ -320,3 +320,33 @@ func TestSpecErrors(t *testing.T) {
 		}
 	}
 }
+
+// LoadSpec accepts exactly one JSON value: stray bytes or a second spec
+// after the first must fail rather than run only the first.
+func TestLoadSpecRejectsTrailingData(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"one spec", `{"artifacts":["fig1"]}`, true},
+		{"trailing whitespace", "{\"artifacts\":[\"fig1\"]}\n\t \n", true},
+		{"trailing junk", `{"artifacts":["fig1"]} trailing`, false},
+		{"two specs", `{"artifacts":["fig1"]}{"artifacts":["fig2"]}`, false},
+		{"stray brace", `{"artifacts":["fig1"]}}`, false},
+		{"unknown field", `{"artifacts":["fig1"],"extra":1}`, false},
+		{"empty", ``, false},
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadSpec(path)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: LoadSpec error %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if c.ok && (len(s.Artifacts) != 1 || s.Artifacts[0] != "fig1") {
+			t.Errorf("%s: spec %+v", c.name, s)
+		}
+	}
+}

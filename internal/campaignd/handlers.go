@@ -87,11 +87,18 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// readJSON decodes a request body, rejecting unknown fields.
+// readJSON decodes a one-value request body, rejecting unknown fields and
+// trailing data. An empty body returns io.EOF.
 func readJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the request body")
+	}
+	return nil
 }
 
 // Cache-Control values for serveBlob. Content-addressed bytes never

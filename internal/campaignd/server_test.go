@@ -643,3 +643,38 @@ func TestServerTraceRenders(t *testing.T) {
 		t.Errorf("module skew: %d, want 409", resp.StatusCode)
 	}
 }
+
+// A request body is one JSON value: a spec with trailing bytes, or two
+// specs back to back, is refused rather than registered from the first.
+func TestServerRejectsTrailingBody(t *testing.T) {
+	_, ts, _ := newTestServer(t, 0, nil)
+	spec, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"trailing junk": string(spec) + " trailing",
+		"two specs":     string(spec) + string(spec),
+		"stray brace":   string(spec) + "}",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: POST /v1/campaigns = %d, want 4xx", name, resp.StatusCode)
+		}
+	}
+	// The empty body the lease handler accepts still leases.
+	var doc CampaignDoc
+	doJSON(t, "POST", ts.URL+"/v1/campaigns", testSpec(), &doc, 200)
+	resp, err := http.Post(ts.URL+"/v1/campaigns/"+doc.ID+"/lease", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("empty-body lease = %d, want 200", resp.StatusCode)
+	}
+}

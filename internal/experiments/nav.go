@@ -142,19 +142,12 @@ func runFig3(cfg RunConfig) (*Result, error) {
 	return res, nil
 }
 
+// histToDist falls back to CWmin alone when the station drew no backoff.
 func histToDist(hist map[int]int64) analytic.CWDist {
-	d := make(analytic.CWDist, len(hist))
-	var total int64
-	for _, n := range hist {
-		total += n
+	if d := analytic.FromCounts(hist); len(d) > 0 {
+		return d
 	}
-	if total == 0 {
-		return analytic.Single(31)
-	}
-	for cw, n := range hist {
-		d[cw] = float64(n) / float64(total)
-	}
-	return d
+	return analytic.Single(31)
 }
 
 // navTCPSweep renders one Fig 4/5 panel.
