@@ -113,7 +113,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "greedysim: unknown transport %q\n", *transport)
 		return 2
 	}
-	base := scenario.Config{UseRTSCTS: !*noRTS, ForceCapture: mis == scenario.PolicyACKSpoofing}
+	base := scenario.Config{UseRTSCTS: !*noRTS}
+	if mis == scenario.PolicyACKSpoofing {
+		base.Capture = scenario.CaptureStrongest
+	}
 	switch *band {
 	case "b":
 		base.Band = phys.Band80211B
@@ -200,7 +203,7 @@ func run(args []string) int {
 			return scenario.BuildHiddenPairs(scenario.HiddenPairsConfig{Config: cfg, ReceiverSpecs: recv})
 		case *sharedAP:
 			return scenario.BuildSharedAP(scenario.SharedAPConfig{
-				Config: cfg, N: *pairs, Transport: tr, ReceiverSpecs: recv,
+				Config: cfg, N: *pairs, Transport: tr, ReceiverSpecs: recv, SenderSpec: send[0],
 			})
 		default:
 			return scenario.BuildPairs(scenario.PairsConfig{

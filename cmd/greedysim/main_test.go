@@ -147,6 +147,22 @@ func TestEndToEnd(t *testing.T) {
 					t.Errorf("fake ACKs did not pay:\n%s", out)
 				}
 			}},
+		// -grc arms the shared AP too. With four receivers 3 m apart the
+		// spoofer's forged ACKs reach the AP ≥10 dB below the nearest
+		// victim's, so GRC can safely ignore them (two receivers are too
+		// close for that: GRC suspects the ACKs but lets them through).
+		{"shared ap spoofing with grc", []string{"-seed", "7", "-shared-ap", "-misbehavior", "spoof",
+			"-transport", "tcp", "-ber", "2e-4", "-grc", "-pairs", "4"},
+			func(t *testing.T, out string, normal, greedy []float64) {
+				var corrections, ignored float64
+				for _, line := range strings.Split(out, "\n") {
+					fmt.Sscanf(line, "GRC interventions per run (median): %g NAV corrections, %g spoofed",
+						&corrections, &ignored)
+				}
+				if ignored == 0 {
+					t.Errorf("the shared AP's GRC never ignored a spoofed ACK:\n%s", out)
+				}
+			}},
 		{"shared ap", []string{"-seed", "6", "-shared-ap", "-transport", "tcp", "-pairs", "3"},
 			func(t *testing.T, out string, normal, greedy []float64) {
 				if len(normal) != 3 {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
@@ -20,26 +19,25 @@ import (
 
 func buildWorld(seed int64, wiredDelay sim.Time, spoof bool) (*scenario.World, error) {
 	w, err := scenario.NewWorld(scenario.Config{
-		Seed:         seed,
-		UseRTSCTS:    true,
-		Error:        phys.BERSpec(2e-5), // the paper's wireless loss for this study
-		ForceCapture: true,
+		Seed:      seed,
+		UseRTSCTS: true,
+		Error:     phys.BERSpec(2e-5), // the paper's wireless loss for this study
+		Capture:   scenario.CaptureStrongest,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.AddStation("victim", phys.Position{X: 5}, scenario.StationOpts{}); err != nil {
+	if _, err := w.AddStation("victim", phys.Position{X: 5}, scenario.StationSpec{}); err != nil {
 		return nil, err
 	}
-	attacker := scenario.StationOpts{}
+	var attacker scenario.StationSpec
 	if spoof {
-		v, _ := w.Station("victim")
-		attacker.Policy = greedy.NewACKSpoofer(w.Sched.RNG(), 100, v.ID)
+		attacker.Policy = scenario.PolicySpec{Name: scenario.PolicyACKSpoofing, Victims: []string{"victim"}}
 	}
 	if _, err := w.AddStation("attacker", phys.Position{X: 5, Y: 5}, attacker); err != nil {
 		return nil, err
 	}
-	if _, err := w.AddStation("AP", phys.Position{}, scenario.StationOpts{}); err != nil {
+	if _, err := w.AddStation("AP", phys.Position{}, scenario.StationSpec{}); err != nil {
 		return nil, err
 	}
 	for i, host := range []string{"server1", "server2"} {

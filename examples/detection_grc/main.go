@@ -69,7 +69,7 @@ func demoNAV() {
 
 // demoSpoof: misbehavior 2 vs the RSSI median check.
 func demoSpoof() {
-	world := scenario.Config{UseRTSCTS: true, ForceCapture: true, Error: phys.BERSpec(4.4e-4)}
+	world := scenario.Config{UseRTSCTS: true, Capture: scenario.CaptureStrongest, Error: phys.BERSpec(4.4e-4)}
 	policy := scenario.PolicySpec{Name: scenario.PolicyACKSpoofing,
 		Victims: []string{scenario.ReceiverName(0)}}
 	attVictim, attAttacker, _, _ := attack(1, world, scenario.TCP, policy, false)

@@ -48,17 +48,6 @@ type Meta struct {
 	CreatedUnix   int64  `json:"created_unix"`
 }
 
-// RunConfigSpec returns the SpecConfig form of the entry's config — the
-// codec that travels between campaignd server and workers.
-func (m Meta) RunConfigSpec() SpecConfig {
-	return SpecConfig{
-		Seeds:    m.Seeds,
-		BaseSeed: m.BaseSeed,
-		Duration: time.Duration(m.DurationNs).String(),
-		Quick:    m.Quick,
-	}
-}
-
 // OpenStore opens (creating if needed) a directory-backed store rooted
 // at dir, sweeping any tmp- staging leftovers, with its write-ahead
 // journal at <dir>/journal.jsonl.

@@ -21,7 +21,7 @@ func registerAblation() {
 
 // runAbl1 re-runs the Fig 11 operating point under three capture regimes.
 // The paper assumes capture always resolves the two-simultaneous-ACKs
-// case (ForceCapture); realistic 10 dB capture lets the spoofed ACK
+// case (scenario.CaptureStrongest); realistic 10 dB capture lets the spoofed ACK
 // *collide* with the genuine one when their powers are close — adding a
 // jamming side effect the paper deliberately excluded.
 func runAbl1(cfg RunConfig) (*Result, error) {
@@ -34,13 +34,12 @@ func runAbl1(cfg RunConfig) (*Result, error) {
 	}
 	type regime struct {
 		name    string
-		force   bool
-		disable bool
+		capture scenario.Capture
 	}
 	regimes := []regime{
-		{"force (paper)", true, false},
-		{"10 dB threshold", false, false},
-		{"disabled", false, true},
+		{"force (paper)", scenario.CaptureStrongest},
+		{"10 dB threshold", scenario.CaptureThreshold},
+		{"disabled", scenario.CaptureOff},
 	}
 	if cfg.Quick {
 		regimes = regimes[:2]
@@ -54,7 +53,7 @@ func runAbl1(cfg RunConfig) (*Result, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4),
-					ForceCapture: reg.force, DisableCapture: reg.disable,
+					Capture: reg.capture,
 				},
 				N:             2,
 				Transport:     scenario.TCP,

@@ -33,12 +33,16 @@ func marginalLadderFER() phys.ErrorSpec {
 func autoratePairs(seed int64, tr scenario.Transport, useARF bool,
 	policy scenario.PolicySpec) (*scenario.World, error) {
 	arf := scenario.StationSpec{ARF: useARF}
+	capture := scenario.CaptureThreshold
+	if tr == scenario.TCP {
+		capture = scenario.CaptureStrongest // spoofing study keeps the paper's capture assumption
+	}
 	return scenario.BuildPairs(scenario.PairsConfig{
 		Config: scenario.Config{
-			Seed:         seed,
-			UseRTSCTS:    true,
-			Error:        marginalLadderFER(),
-			ForceCapture: tr == scenario.TCP, // spoofing study keeps the paper's capture assumption
+			Seed:      seed,
+			UseRTSCTS: true,
+			Error:     marginalLadderFER(),
+			Capture:   capture,
 		},
 		N:             2,
 		Transport:     tr,

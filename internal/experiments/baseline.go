@@ -43,7 +43,7 @@ func runExtC(cfg RunConfig) (*Result, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
 					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4),
-					ForceCapture: true,
+					Capture: scenario.CaptureStrongest,
 				},
 				N:             2,
 				Transport:     scenario.TCP,

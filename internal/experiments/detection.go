@@ -3,6 +3,7 @@ package experiments
 import (
 	"greedy80211/internal/detect"
 	"greedy80211/internal/greedy"
+	"greedy80211/internal/mac"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
@@ -72,17 +73,18 @@ func grcNAVWorld(seed int64, tr scenario.Transport, d float64, greedyOn, grcOn b
 	if err != nil {
 		return nil, err
 	}
-	grcCfg := detect.DefaultConfig()
-	opts := func(greedy bool) scenario.StationOpts {
-		o := scenario.StationOpts{}
-		if grcOn {
-			o.GRC = &grcCfg
-		}
-		return o
+	var spec scenario.StationSpec
+	if grcOn {
+		grcCfg := detect.DefaultConfig()
+		spec.GRC = &grcCfg
 	}
-	r2opts := opts(true)
+	// R2's policy cannot be a spec policy. This world draws its random
+	// stream before R1's radio exists; a spec policy would draw it at
+	// R2's add, after R1's DCF stream, and move the gated TCP rows. So
+	// it is drawn here, first, and installed on R2's DCF once R2 exists.
+	var policy mac.ReceiverPolicy
 	if greedyOn {
-		r2opts.Policy = greedy.NewNAVInflation(w.Sched.RNG(), greedyFrameSetCTS(), 31*sim.Millisecond, 100)
+		policy = greedy.NewNAVInflation(w.Sched.RNG(), greedy.CTSOnly, 31*sim.Millisecond, 100)
 	}
 	// Geometry per Fig 23(a): pair 1 clustered at the origin; the greedy
 	// receiver R2 at distance d, with its sender S2 a further 10 m out.
@@ -90,21 +92,17 @@ func grcNAVWorld(seed int64, tr scenario.Transport, d float64, greedyOn, grcOn b
 	// RTS and clamp R2's CTS NAV exactly; 45 < d ≤ 55 m, they hear only
 	// R2's CTS and must fall back to the 1500-byte MTU bound (R2 keeps a
 	// ~46% airtime advantage); d > 55 m, the inflated CTS is inaudible.
-	add := func(name string, pos phys.Position, o scenario.StationOpts) error {
-		_, err := w.AddStation(name, pos, o)
-		return err
+	for _, st := range []struct {
+		name string
+		x    float64
+	}{{"R1", 2}, {"R2", d}, {"S1", 0}, {"S2", d + 10}} {
+		if _, err := w.AddStation(st.name, phys.Position{X: st.x}, spec); err != nil {
+			return nil, err
+		}
 	}
-	if err := add("R1", phys.Position{X: 2}, opts(false)); err != nil {
-		return nil, err
-	}
-	if err := add("R2", phys.Position{X: d}, r2opts); err != nil {
-		return nil, err
-	}
-	if err := add("S1", phys.Position{}, opts(false)); err != nil {
-		return nil, err
-	}
-	if err := add("S2", phys.Position{X: d + 10}, opts(false)); err != nil {
-		return nil, err
+	if policy != nil {
+		r2, _ := w.Station("R2")
+		r2.DCF.SetPolicy(policy)
 	}
 	for i, pair := range [][2]string{{"S1", "R1"}, {"S2", "R2"}} {
 		switch tr {
@@ -119,8 +117,6 @@ func grcNAVWorld(seed int64, tr scenario.Transport, d float64, greedyOn, grcOn b
 	}
 	return w, nil
 }
-
-func greedyFrameSetCTS() greedy.FrameSet { return greedy.CTSOnly }
 
 // protPoint is one sweep point's baseline / attack / GRC-protected runs.
 type protPoint struct {
@@ -200,40 +196,19 @@ func grcSpoofWorldWithConfig(seed int64, ber float64, grcCfg detect.Config) (*sc
 }
 
 func grcSpoofWorldAt(seed int64, ber float64, greedyOn bool, grcCfg *detect.Config) (*scenario.World, error) {
-	w, err := scenario.NewWorld(scenario.Config{
-		Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(ber), ForceCapture: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.AddStation("R1", phys.Position{X: 5}, scenario.StationOpts{}); err != nil {
-		return nil, err
-	}
-	r2opts := scenario.StationOpts{}
+	var spoofer scenario.PolicySpec
 	if greedyOn {
-		r1, _ := w.Station("R1")
-		r2opts.Policy = greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)
+		spoofer = spoofForR1
 	}
-	if _, err := w.AddStation("R2", phys.Position{X: 5, Y: 30}, r2opts); err != nil {
-		return nil, err
-	}
-	s1opts := scenario.StationOpts{}
-	if grcCfg != nil {
-		s1opts.GRC = grcCfg
-	}
-	if _, err := w.AddStation("S1", phys.Position{}, s1opts); err != nil {
-		return nil, err
-	}
-	if _, err := w.AddStation("S2", phys.Position{Y: 30}, scenario.StationOpts{}); err != nil {
-		return nil, err
-	}
-	if _, err := w.AddTCPFlow(1, "S1", "R1", transport.DefaultTCPConfig(1)); err != nil {
-		return nil, err
-	}
-	if _, err := w.AddTCPFlow(2, "S2", "R2", transport.DefaultTCPConfig(2)); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return scenario.BuildPairs(scenario.PairsConfig{
+		Config: scenario.Config{
+			Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(ber), Capture: scenario.CaptureStrongest,
+		},
+		N:             2,
+		Transport:     scenario.TCP,
+		ReceiverSpecs: lastGreedy(2, 1, spoofer),
+		SenderSpecs:   []scenario.StationSpec{{GRC: grcCfg}},
+	})
 }
 
 func runFig24(cfg RunConfig) (*Result, error) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/sim"
@@ -42,7 +41,7 @@ func spoofPairs(seed int64, band phys.Band, ber, gp float64, nGreedy int) (*scen
 	return scenario.BuildPairs(scenario.PairsConfig{
 		Config: scenario.Config{
 			Seed: seed, Band: band, UseRTSCTS: true,
-			Error: phys.BERSpec(ber), ForceCapture: true,
+			Error: phys.BERSpec(ber), Capture: scenario.CaptureStrongest,
 		},
 		N:             2,
 		Transport:     scenario.TCP,
@@ -183,7 +182,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 		sharedFlows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildSharedAP(scenario.SharedAPConfig{
 				Config: scenario.Config{
-					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
+					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), Capture: scenario.CaptureStrongest,
 				},
 				N:             total,
 				Transport:     scenario.TCP,
@@ -198,7 +197,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 		sepFlows, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 			return scenario.BuildPairs(scenario.PairsConfig{
 				Config: scenario.Config{
-					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
+					Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-4), Capture: scenario.CaptureStrongest,
 				},
 				N:             total,
 				Transport:     scenario.TCP,
@@ -229,23 +228,22 @@ func runFig14(cfg RunConfig) (*Result, error) {
 // two wireless receivers, wireless BER 2e-5; R2 optionally spoofs for R1.
 func remoteSenders(seed int64, delay sim.Time, gp float64) (*scenario.World, error) {
 	w, err := scenario.NewWorld(scenario.Config{
-		Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-5), ForceCapture: true,
+		Seed: seed, UseRTSCTS: true, Error: phys.BERSpec(2e-5), Capture: scenario.CaptureStrongest,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := w.AddStation("R1", phys.Position{X: 5}, scenario.StationOpts{}); err != nil {
+	if _, err := w.AddStation("R1", phys.Position{X: 5}, scenario.StationSpec{}); err != nil {
 		return nil, err
 	}
-	r2opts := scenario.StationOpts{}
+	var r2 scenario.StationSpec
 	if gp > 0 {
-		r1, _ := w.Station("R1")
-		r2opts.Policy = greedy.NewACKSpoofer(w.Sched.RNG(), gp, r1.ID)
+		r2.Policy = scenario.PolicySpec{Name: scenario.PolicyACKSpoofing, GreedyPercent: &gp, Victims: []string{"R1"}}
 	}
-	if _, err := w.AddStation("R2", phys.Position{X: 5, Y: 5}, r2opts); err != nil {
+	if _, err := w.AddStation("R2", phys.Position{X: 5, Y: 5}, r2); err != nil {
 		return nil, err
 	}
-	if _, err := w.AddStation("AP", phys.Position{}, scenario.StationOpts{}); err != nil {
+	if _, err := w.AddStation("AP", phys.Position{}, scenario.StationSpec{}); err != nil {
 		return nil, err
 	}
 	for _, h := range []string{"H1", "H2"} {
@@ -355,7 +353,7 @@ func runFig17(cfg RunConfig) (*Result, error) {
 		}
 		return scenario.BuildSharedAP(scenario.SharedAPConfig{
 			Config: scenario.Config{
-				Seed: seed, UseRTSCTS: true, ForceCapture: true,
+				Seed: seed, UseRTSCTS: true, Capture: scenario.CaptureStrongest,
 				Error: phys.BERSpec(ber),
 			},
 			N:             2,

@@ -5,7 +5,6 @@ import (
 	"greedy80211/internal/phys"
 	"greedy80211/internal/scenario"
 	"greedy80211/internal/stats"
-	"greedy80211/internal/transport"
 )
 
 // The testbed experiments (Section VI) ran on four MadWiFi 802.11a nodes
@@ -111,32 +110,15 @@ func runTab7(cfg RunConfig) (*Result, error) {
 // a milder BER so the victim's connection survives as it did on the
 // testbed (tab8).
 func sharedAPEmulation(seed int64, ber float64, tr scenario.Transport,
-	sender scenario.StationOpts) (*scenario.World, error) {
-	w, err := scenario.NewWorld(scenario.Config{Seed: seed, Band: phys.Band80211A, Error: phys.BERSpec(ber)})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.AddStation("R1", phys.Position{X: 5}, scenario.StationOpts{}); err != nil {
-		return nil, err
-	}
-	if _, err := w.AddStation("R2", phys.Position{X: 5, Y: 5}, scenario.StationOpts{}); err != nil {
-		return nil, err
-	}
-	if _, err := w.AddStation("S1", phys.Position{}, sender); err != nil {
-		return nil, err
-	}
-	for i, rx := range []string{"R1", "R2"} {
-		switch tr {
-		case scenario.TCP:
-			_, err = w.AddTCPFlow(i+1, "S1", rx, transport.DefaultTCPConfig(i+1))
-		default:
-			_, err = w.AddUDPFlow(i+1, "S1", rx, scenario.DefaultCBRRateBps, scenario.DefaultPayloadBytes)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
+	sender scenario.StationSpec) (*scenario.World, error) {
+	return scenario.BuildSharedAP(scenario.SharedAPConfig{
+		Config:    scenario.Config{Seed: seed, Band: phys.Band80211A, Error: phys.BERSpec(ber)},
+		N:         2,
+		Transport: tr,
+		// The testbed's R2 sits at (5,5), not the builder's (5,3).
+		ReceiverSpecs: []scenario.StationSpec{{}, {Position: &phys.Position{X: 5, Y: 5}}},
+		SenderSpec:    sender,
+	})
 }
 
 func runTab8(cfg RunConfig) (*Result, error) {
@@ -147,7 +129,7 @@ func runTab8(cfg RunConfig) (*Result, error) {
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
 	base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 2e-4, scenario.TCP, scenario.StationOpts{})
+		return sharedAPEmulation(seed, 2e-4, scenario.TCP, scenario.StationSpec{})
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -155,7 +137,7 @@ func runTab8(cfg RunConfig) (*Result, error) {
 	t.AddRow("no GR", base[1], base[2])
 	att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 2e-4, scenario.TCP,
-			scenario.StationOpts{SpoofEmulationVictims: []string{"R1"}})
+			scenario.StationSpec{SpoofEmulationVictims: []string{"R1"}})
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -173,7 +155,7 @@ func runTab9(cfg RunConfig) (*Result, error) {
 		Header: []string{"case", "R1_mbps", "R2_mbps"},
 	}
 	base, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
-		return sharedAPEmulation(seed, 8e-4, scenario.UDP, scenario.StationOpts{})
+		return sharedAPEmulation(seed, 8e-4, scenario.UDP, scenario.StationSpec{})
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -181,7 +163,7 @@ func runTab9(cfg RunConfig) (*Result, error) {
 	t.AddRow("no GR", base[1], base[2])
 	att, _, err := RunSeeds(cfg, func(seed int64) (*scenario.World, error) {
 		return sharedAPEmulation(seed, 8e-4, scenario.UDP,
-			scenario.StationOpts{CWMinCapPeers: []string{"R2"}})
+			scenario.StationSpec{CWMinCapPeers: []string{"R2"}})
 	}, nil)
 	if err != nil {
 		return nil, err

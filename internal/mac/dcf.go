@@ -172,6 +172,16 @@ func New(sched *sim.Scheduler, channel Channel, upper Upper, cfg Config) *DCF {
 	return d
 }
 
+// SetPolicy installs the station's receiver policy, replacing the one
+// Config.Policy set; nil restores NormalPolicy. Call it before the
+// simulation runs.
+func (d *DCF) SetPolicy(p ReceiverPolicy) {
+	if p == nil {
+		p = NormalPolicy{}
+	}
+	d.policy = p
+}
+
 // ID reports the station address.
 func (d *DCF) ID() NodeID { return d.cfg.ID }
 

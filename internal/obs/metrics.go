@@ -239,9 +239,6 @@ func NewRegistry(consts ...Label) *Registry {
 	}
 }
 
-// ConstLabels returns the registry's constant labels.
-func (r *Registry) ConstLabels() []Label { return r.consts }
-
 // lookup finds or creates the series. Mixing kinds under one name is a
 // programming error and panics immediately rather than rendering a
 // malformed exposition later.

@@ -104,10 +104,6 @@ func (p Propagation) RxPowerDBm(d float64) float64 {
 // power at exactly CommRange.
 func (p Propagation) RxThresholdDBm() float64 { return p.RxPowerDBm(p.CommRange) }
 
-// CSThresholdDBm is the minimum power at which energy is sensed: the power
-// at exactly CSRange.
-func (p Propagation) CSThresholdDBm() float64 { return p.RxPowerDBm(p.CSRange) }
-
 // InCommRange reports whether a transmission from a to b is decodable.
 func (p Propagation) InCommRange(a, b Position) bool {
 	return a.DistanceTo(b) <= p.CommRange

@@ -5,6 +5,7 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -170,8 +171,9 @@ func (s *RefSet) validate() error {
 }
 
 // loadFS reads every refdata/*.json under the fsys root, strictly
-// (unknown fields are typos in a golden file, and those must fail
-// loudly), sorted by artifact id in registry order.
+// (unknown fields are typos in a golden file and trailing data is a
+// botched edit, and those must fail loudly), sorted by artifact id in
+// registry order.
 func loadFS(fsys fs.FS, dir string) ([]*RefSet, error) {
 	entries, err := fs.ReadDir(fsys, dir)
 	if err != nil {
@@ -191,6 +193,9 @@ func loadFS(fsys fs.FS, dir string) ([]*RefSet, error) {
 		var s RefSet
 		if err := dec.Decode(&s); err != nil {
 			return nil, fmt.Errorf("report: refdata %s: %w", e.Name(), err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("report: refdata %s: trailing data after the set", e.Name())
 		}
 		if err := s.validate(); err != nil {
 			return nil, err

@@ -1,10 +1,13 @@
 package report
 
 import (
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 func TestLoadEmbedded(t *testing.T) {
@@ -96,6 +99,57 @@ func TestLoadDirRejectsBadFiles(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", name, err, tc.wantErr)
 		}
 	}
+}
+
+// TestLoadDirRejectsTrailingData: a real golden file with junk after its
+// JSON value loads untampered and is refused once tampered.
+func TestLoadDirRejectsTrailingData(t *testing.T) {
+	raw, err := embeddedRefdata.ReadFile("refdata/fig1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDir(writeRefdata(t, "fig1.json", string(raw)+"\n")); err != nil {
+		t.Fatalf("untampered copy: %v", err)
+	}
+	for _, junk := range []string{"{}", "]", `"x"`, "{\"artifact\":\"fig1\"}"} {
+		_, err := LoadDir(writeRefdata(t, "fig1.json", string(raw)+junk))
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("trailing %q: err = %v, want trailing data", junk, err)
+		}
+	}
+}
+
+// FuzzLoadRefSet feeds one refdata file to the loader: no input may
+// panic it, and every set it accepts must pass validation again. The
+// seed corpus is the embedded golden set.
+func FuzzLoadRefSet(f *testing.F) {
+	entries, err := embeddedRefdata.ReadDir("refdata")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := embeddedRefdata.ReadFile(path.Join("refdata", e.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(strings.TrimSuffix(e.Name(), ".json"), raw)
+	}
+	f.Fuzz(func(t *testing.T, artifact string, raw []byte) {
+		name := artifact + ".json"
+		if !fs.ValidPath(name) || strings.Contains(name, "/") {
+			t.Skip()
+		}
+		sets, err := loadFS(fstest.MapFS{name: {Data: raw}}, ".")
+		if err != nil {
+			return
+		}
+		if len(sets) != 1 {
+			t.Fatalf("one file loaded as %d sets", len(sets))
+		}
+		if err := sets[0].validate(); err != nil {
+			t.Fatalf("accepted set fails validation: %v", err)
+		}
+	})
 }
 
 func TestSharedConfigMismatch(t *testing.T) {

@@ -50,12 +50,6 @@ func BuildPairs(cfg PairsConfig) (*World, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("scenario: BuildPairs with %d pairs", cfg.N)
 	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = DefaultPayloadBytes
-	}
-	if cfg.CBRRateBps == 0 {
-		cfg.CBRRateBps = DefaultCBRRateBps
-	}
 	if err := checkSpecs("receiver", cfg.ReceiverSpecs, cfg.N); err != nil {
 		return nil, err
 	}
@@ -72,33 +66,19 @@ func BuildPairs(cfg PairsConfig) (*World, error) {
 	// is ≥10 dB stronger at its sender than any other pair's receiver —
 	// the regime in which GRC's capture-based spoof recovery is safe.
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 5, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(ReceiverName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 5, Y: float64(i) * 30}
+		if _, err := w.AddStation(ReceiverName(i), pos, specAt(cfg.ReceiverSpecs, i)); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 0, Y: float64(i) * 30}
-		opts, pos, err := stationFor(w, i, def, cfg.SenderSpecs)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(SenderName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 0, Y: float64(i) * 30}
+		if _, err := w.AddStation(SenderName(i), pos, specAt(cfg.SenderSpecs, i)); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < cfg.N; i++ {
-		switch cfg.Transport {
-		case TCP:
-			_, err = w.AddTCPFlow(i+1, SenderName(i), ReceiverName(i), transport.DefaultTCPConfig(i+1))
-		default:
-			_, err = w.AddUDPFlow(i+1, SenderName(i), ReceiverName(i), cfg.CBRRateBps, cfg.PayloadBytes)
-		}
-		if err != nil {
+		if err := w.addFlow(i+1, cfg.Transport, SenderName(i), ReceiverName(i), cfg.CBRRateBps, cfg.PayloadBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -115,6 +95,8 @@ type SharedAPConfig struct {
 	PayloadBytes int
 	// ReceiverSpecs declaratively customizes receiver i.
 	ReceiverSpecs []StationSpec
+	// SenderSpec declaratively customizes the AP "S1".
+	SenderSpec StationSpec
 }
 
 // BuildSharedAP constructs the world; flow i+1 goes to receiver i. The
@@ -124,12 +106,6 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("scenario: BuildSharedAP with %d receivers", cfg.N)
 	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = DefaultPayloadBytes
-	}
-	if cfg.CBRRateBps == 0 {
-		cfg.CBRRateBps = DefaultCBRRateBps
-	}
 	if err := checkSpecs("receiver", cfg.ReceiverSpecs, cfg.N); err != nil {
 		return nil, err
 	}
@@ -138,26 +114,16 @@ func BuildSharedAP(cfg SharedAPConfig) (*World, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.N; i++ {
-		def := phys.Position{X: 5, Y: float64(i) * 3}
-		opts, pos, err := stationFor(w, i, def, cfg.ReceiverSpecs)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(ReceiverName(i), pos, opts); err != nil {
+		pos := phys.Position{X: 5, Y: float64(i) * 3}
+		if _, err := w.AddStation(ReceiverName(i), pos, specAt(cfg.ReceiverSpecs, i)); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := w.AddStation(SenderName(0), phys.Position{}, StationOpts{}); err != nil {
+	if _, err := w.AddStation(SenderName(0), phys.Position{}, cfg.SenderSpec); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.N; i++ {
-		switch cfg.Transport {
-		case TCP:
-			_, err = w.AddTCPFlow(i+1, SenderName(0), ReceiverName(i), transport.DefaultTCPConfig(i+1))
-		default:
-			_, err = w.AddUDPFlow(i+1, SenderName(0), ReceiverName(i), cfg.CBRRateBps, cfg.PayloadBytes)
-		}
-		if err != nil {
+		if err := w.addFlow(i+1, cfg.Transport, SenderName(0), ReceiverName(i), cfg.CBRRateBps, cfg.PayloadBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -202,18 +168,34 @@ func BuildHiddenPairs(cfg HiddenPairsConfig) (*World, error) {
 	}
 	for i, p := range positions {
 		// At most two specs, so the senders (i = 2, 3) stay compliant.
-		opts, pos, err := stationFor(w, i, phys.Position{X: p.x}, cfg.ReceiverSpecs)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.AddStation(p.name, pos, opts); err != nil {
+		if _, err := w.AddStation(p.name, phys.Position{X: p.x}, specAt(cfg.ReceiverSpecs, i)); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := w.AddUDPFlow(i+1, SenderName(i), ReceiverName(i), DefaultCBRRateBps, DefaultPayloadBytes); err != nil {
+		if err := w.addFlow(i+1, UDP, SenderName(i), ReceiverName(i), 0, 0); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// addFlow adds builder flow id from -> to: a saturating TCP connection,
+// or CBR/UDP at rateBps application bits per second in payload-byte
+// packets, where zero keeps the paper's defaults.
+func (w *World) addFlow(id int, kind Transport, from, to string, rateBps float64, payload int) error {
+	var err error
+	switch kind {
+	case TCP:
+		_, err = w.AddTCPFlow(id, from, to, transport.DefaultTCPConfig(id))
+	default:
+		if rateBps == 0 {
+			rateBps = DefaultCBRRateBps
+		}
+		if payload == 0 {
+			payload = DefaultPayloadBytes
+		}
+		_, err = w.AddUDPFlow(id, from, to, rateBps, payload)
+	}
+	return err
 }

@@ -7,7 +7,6 @@ import (
 	"greedy80211/internal/medium"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
-	"greedy80211/internal/transport"
 )
 
 // Multi-BSS layout defaults.
@@ -145,13 +144,6 @@ func (t TopologySpec) Validate() error {
 	return nil
 }
 
-// GridTopology is the common homogeneous case: cells identical grid
-// cells, stationsPerCell clients each, channels assigned round-robin
-// from plan.
-func GridTopology(cells, stationsPerCell int, plan []int) TopologySpec {
-	return TopologySpec{NumCells: cells, DefaultStations: stationsPerCell, ChannelPlan: plan}
-}
-
 // CellsConfig builds a multi-BSS hotspot world from a TopologySpec.
 type CellsConfig struct {
 	Config
@@ -174,12 +166,6 @@ func BuildCells(cfg CellsConfig) (*World, error) {
 	top := cfg.Topology
 	if err := top.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = DefaultPayloadBytes
-	}
-	if cfg.CBRRateBps == 0 {
-		cfg.CBRRateBps = DefaultCBRRateBps
 	}
 	n := top.cellCount()
 	cols := top.GridCols
@@ -206,25 +192,22 @@ func BuildCells(cfg CellsConfig) (*World, error) {
 		if cell.Center != nil {
 			center = *cell.Center
 		}
-		if _, err := w.AddStation(CellAPName(c), center, StationOpts{Channel: cell.Channel}); err != nil {
+		if _, err := w.AddStation(CellAPName(c), center, StationSpec{Channel: cell.Channel}); err != nil {
 			return nil, err
 		}
 		for s := 0; s < cell.Stations; s++ {
 			// Deterministic ring placement: station s at angle
 			// 2πs/count, so layouts are reproducible without RNG draws.
 			theta := 2 * math.Pi * float64(s) / float64(cell.Stations)
-			def := phys.Position{
+			pos := phys.Position{
 				X: center.X + cell.Radius*math.Cos(theta),
 				Y: center.Y + cell.Radius*math.Sin(theta),
 			}
-			opts, pos, err := stationFor(w, s, def, cell.StationSpecs)
-			if err != nil {
-				return nil, err
+			spec := specAt(cell.StationSpecs, s)
+			if spec.Channel == 0 {
+				spec.Channel = cell.Channel
 			}
-			if opts.Channel == 0 {
-				opts.Channel = cell.Channel
-			}
-			if _, err := w.AddStation(CellStationName(c, s), pos, opts); err != nil {
+			if _, err := w.AddStation(CellStationName(c, s), pos, spec); err != nil {
 				return nil, err
 			}
 		}
@@ -233,13 +216,7 @@ func BuildCells(cfg CellsConfig) (*World, error) {
 			if s < cell.Uplink {
 				src, dst = dst, src
 			}
-			switch cfg.Transport {
-			case TCP:
-				_, err = w.AddTCPFlow(flowID, src, dst, transport.DefaultTCPConfig(flowID))
-			default:
-				_, err = w.AddUDPFlow(flowID, src, dst, cfg.CBRRateBps, cfg.PayloadBytes)
-			}
-			if err != nil {
+			if err := w.addFlow(flowID, cfg.Transport, src, dst, cfg.CBRRateBps, cfg.PayloadBytes); err != nil {
 				return nil, err
 			}
 			flowID++

@@ -45,7 +45,9 @@ func runFuzzWorld(t *testing.T, seed int64, rng *rand.Rand) {
 	case 2:
 		cfg.Error = phys.FERSpec([]float64{0.1, 0.4}[rng.Intn(2)])
 	}
-	cfg.ForceCapture = rng.Intn(2) == 0
+	if rng.Intn(2) == 0 {
+		cfg.Capture = CaptureStrongest
+	}
 
 	n := 1 + rng.Intn(4)
 	tr := transports[rng.Intn(2)]
@@ -261,10 +263,10 @@ func TestMACQueueIsFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("rx", phys.Position{X: 5}, StationOpts{}); err != nil {
+	if _, err := w.AddStation("rx", phys.Position{X: 5}, StationSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("tx", phys.Position{}, StationOpts{}); err != nil {
+	if _, err := w.AddStation("tx", phys.Position{}, StationSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	tx, _ := w.Station("tx")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"greedy80211/internal/detect"
-	"greedy80211/internal/greedy"
 	"greedy80211/internal/mac"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
@@ -17,23 +16,34 @@ func TestWorldValidation(t *testing.T) {
 	if _, err := NewWorld(Config{Band: phys.Band(9)}); err == nil {
 		t.Error("unknown band accepted")
 	}
+	if _, err := NewWorld(Config{Capture: Capture(9)}); err == nil {
+		t.Error("unknown capture mode accepted")
+	}
 	w, err := NewWorld(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("a", phys.Position{}, StationOpts{}); err != nil {
+	if _, err := w.AddStation("a", phys.Position{}, StationSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("a", phys.Position{}, StationOpts{}); err == nil {
+	if _, err := w.AddStation("a", phys.Position{}, StationSpec{}); err == nil {
 		t.Error("duplicate station accepted")
 	}
 	if _, err := w.AddUDPFlow(1, "a", "nope", 1e6, 1024); err == nil {
 		t.Error("unknown receiver accepted")
 	}
-	if _, err := w.AddStation("bad", phys.Position{}, StationOpts{
+	if _, err := w.AddStation("bad", phys.Position{}, StationSpec{
 		SpoofEmulationVictims: []string{"ghost"},
 	}); err == nil {
 		t.Error("unknown emulation victim accepted")
+	}
+	if _, err := w.AddStation("bad", phys.Position{}, StationSpec{
+		CWMinCapPeers: []string{"ghost"},
+	}); err == nil {
+		t.Error("unknown CW-cap peer accepted")
+	}
+	if _, err := w.AddStation("bad", phys.Position{}, StationSpec{QueueCap: -1}); err == nil {
+		t.Error("invalid spec accepted")
 	}
 }
 
@@ -125,10 +135,10 @@ func TestSpoofingDegradesNormalTCP(t *testing.T) {
 	build := func(seed int64, spoof bool) *World {
 		w, err := BuildPairs(PairsConfig{
 			Config: Config{
-				Seed:         seed,
-				UseRTSCTS:    true,
-				Error:        phys.BERSpec(2e-4),
-				ForceCapture: true,
+				Seed:      seed,
+				UseRTSCTS: true,
+				Error:     phys.BERSpec(2e-4),
+				Capture:   CaptureStrongest,
 			},
 			N:             2,
 			Transport:     TCP,
@@ -240,35 +250,22 @@ func TestGRCDefeatsNAVInflation(t *testing.T) {
 func TestGRCDefeatsSpoofing(t *testing.T) {
 	grcCfg := detect.DefaultConfig()
 	build := func(withGRC bool) *World {
-		w, err := NewWorld(Config{
-			Seed: 13, UseRTSCTS: true, Error: phys.BERSpec(4.4e-4), ForceCapture: true,
+		// R2 (the spoofer) sits 30 m from S1 so its forged ACKs arrive
+		// ≥10 dB below R1's — the regime where GRC can safely ignore them.
+		var sender StationSpec
+		if withGRC {
+			sender.GRC = &grcCfg
+		}
+		w, err := BuildPairs(PairsConfig{
+			Config: Config{
+				Seed: 13, UseRTSCTS: true, Error: phys.BERSpec(4.4e-4), Capture: CaptureStrongest,
+			},
+			N:             2,
+			Transport:     TCP,
+			ReceiverSpecs: spooferSpecs(true),
+			SenderSpecs:   []StationSpec{sender},
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		// R2 (the spoofer) sits far from S1 so its forged ACKs arrive
-		// ≥10 dB below R1's — the regime where GRC can safely ignore them.
-		mustAdd := func(name string, pos phys.Position, opts StationOpts) {
-			t.Helper()
-			if _, err := w.AddStation(name, pos, opts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mustAdd("R1", phys.Position{X: 5}, StationOpts{})
-		var spoofOpts StationOpts
-		r1, _ := w.Station("R1")
-		spoofOpts.Policy = greedy.NewACKSpoofer(w.Sched.RNG(), 100, r1.ID)
-		mustAdd("R2", phys.Position{X: 5, Y: 30}, spoofOpts)
-		senderOpts := StationOpts{}
-		if withGRC {
-			senderOpts.GRC = &grcCfg
-		}
-		mustAdd("S1", phys.Position{}, senderOpts)
-		mustAdd("S2", phys.Position{Y: 30}, StationOpts{})
-		if _, err := w.AddTCPFlow(1, "S1", "R1", transport.DefaultTCPConfig(1)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.AddTCPFlow(2, "S2", "R2", transport.DefaultTCPConfig(2)); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -285,7 +282,7 @@ func TestGRCDefeatsSpoofing(t *testing.T) {
 		t.Errorf("GRC victim goodput %.2f vs unprotected %.2f: recovery missing",
 			p1.GoodputMbps(d), u1.GoodputMbps(d))
 	}
-	s1, _ := prot.Station("S1")
+	s1, _ := prot.Station(SenderName(0))
 	st := s1.GRC.Stats()
 	if st.SpoofIgnored == 0 {
 		t.Errorf("GRC never ignored a spoofed ACK: %+v", st)
@@ -299,7 +296,7 @@ func TestCrossLayerDetectsSpoofing(t *testing.T) {
 	run := func(spoof bool) *detect.CrossLayer {
 		w, err := BuildPairs(PairsConfig{
 			Config: Config{
-				Seed: 31, UseRTSCTS: true, Error: phys.BERSpec(2e-4), ForceCapture: true,
+				Seed: 31, UseRTSCTS: true, Error: phys.BERSpec(2e-4), Capture: CaptureStrongest,
 			},
 			N:             2,
 			Transport:     TCP,
@@ -342,10 +339,10 @@ func TestRemoteSenderBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("AP", phys.Position{}, StationOpts{}); err != nil {
+	if _, err := w.AddStation("AP", phys.Position{}, StationSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AddStation("R1", phys.Position{X: 5}, StationOpts{}); err != nil {
+	if _, err := w.AddStation("R1", phys.Position{X: 5}, StationSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AddWiredHost("H1"); err != nil {
@@ -370,7 +367,7 @@ func TestRemoteSenderBridge(t *testing.T) {
 
 func TestConnectWiredValidation(t *testing.T) {
 	w, _ := NewWorld(Config{Seed: 1})
-	_, _ = w.AddStation("AP", phys.Position{}, StationOpts{})
+	_, _ = w.AddStation("AP", phys.Position{}, StationSpec{})
 	_, _ = w.AddWiredHost("H")
 	if err := w.ConnectWired("AP", "AP", wireline.Config{}); err == nil {
 		t.Error("wireless station accepted as wired host")
@@ -387,7 +384,7 @@ func TestConnectWiredValidation(t *testing.T) {
 	// Flow through an unconnected host fails.
 	w2, _ := NewWorld(Config{Seed: 1})
 	_, _ = w2.AddWiredHost("H")
-	_, _ = w2.AddStation("R", phys.Position{}, StationOpts{})
+	_, _ = w2.AddStation("R", phys.Position{}, StationSpec{})
 	if _, err := w2.AddTCPFlow(1, "H", "R", transport.DefaultTCPConfig(1)); err == nil {
 		t.Error("flow through unconnected host accepted")
 	}
@@ -516,30 +513,14 @@ func TestFakeACKDetectionViaProbing(t *testing.T) {
 func TestSpoofEmulationOption(t *testing.T) {
 	// Table VIII substrate: sender treats ACK timeouts toward R1 as
 	// success; under loss, R1's TCP suffers while R2's does not.
-	// The BuildPairs layout, built by hand: the emulation knob is a
-	// StationOpts value with no StationSpec counterpart.
-	w, err := NewWorld(Config{Seed: 19, UseRTSCTS: true, Error: phys.BERSpec(2e-4)})
+	w, err := BuildPairs(PairsConfig{
+		Config:      Config{Seed: 19, UseRTSCTS: true, Error: phys.BERSpec(2e-4)},
+		N:           2,
+		Transport:   TCP,
+		SenderSpecs: []StationSpec{{SpoofEmulationVictims: []string{ReceiverName(0)}}},
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, st := range []struct {
-		name string
-		pos  phys.Position
-		opts StationOpts
-	}{
-		{ReceiverName(0), phys.Position{X: 5}, StationOpts{}},
-		{ReceiverName(1), phys.Position{X: 5, Y: 30}, StationOpts{}},
-		{SenderName(0), phys.Position{}, StationOpts{SpoofEmulationVictims: []string{ReceiverName(0)}}},
-		{SenderName(1), phys.Position{Y: 30}, StationOpts{}},
-	} {
-		if _, err := w.AddStation(st.name, st.pos, st.opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := w.AddTCPFlow(i+1, SenderName(i), ReceiverName(i), transport.DefaultTCPConfig(i+1)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	w.Run(5 * sim.Second)
 	f1, _ := w.Flow(1)
@@ -551,5 +532,32 @@ func TestSpoofEmulationOption(t *testing.T) {
 	s1, _ := w.Station(SenderName(0))
 	if s1.DCF.Counters().ACKTimeouts != 0 {
 		t.Error("spoof emulation still counted ACK timeouts")
+	}
+}
+
+func TestCWMinCapOption(t *testing.T) {
+	// Table IX substrate: the shared AP's CW toward R1 stays at CWmin
+	// even though loss makes it retransmit.
+	avgCW := func(sender StationSpec) (float64, int64) {
+		w, err := BuildSharedAP(SharedAPConfig{
+			Config:     Config{Seed: 23, Error: phys.BERSpec(8e-4)},
+			N:          1,
+			Transport:  UDP,
+			SenderSpec: sender,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Run(2 * sim.Second)
+		ap, _ := w.Station(SenderName(0))
+		return ap.DCF.Counters().AvgCW(), ap.DCF.Counters().DataRetries
+	}
+	cwMin := float64(phys.Params80211B().CWMin)
+	if cw, _ := avgCW(StationSpec{}); cw <= cwMin {
+		t.Fatalf("uncapped avg CW %.1f never grew past CWmin %v", cw, cwMin)
+	}
+	cw, retries := avgCW(StationSpec{CWMinCapPeers: []string{ReceiverName(0)}})
+	if retries == 0 || cw != cwMin {
+		t.Errorf("capped avg CW %.1f over %d retries, want CWmin %v", cw, retries, cwMin)
 	}
 }

@@ -126,10 +126,11 @@ func (p PolicySpec) build(w *World) (mac.ReceiverPolicy, error) {
 	}
 }
 
-// StationSpec declaratively customizes one builder station. It is the
-// only way to configure a builder's stations, and it is JSON-serializable,
-// so campaign specs can express greedy mixes, GRC deployment, rate
-// control, queue sizing, and placement as data.
+// StationSpec declaratively describes one wireless station. It is the
+// only station description, for the builders and AddStation alike, and it
+// is JSON-serializable, so campaign specs can express greedy mixes, GRC
+// deployment, testbed emulation, rate control, queue sizing, and
+// placement as data. The zero value is a compliant station.
 type StationSpec struct {
 	// Policy installs a (possibly greedy) receiver policy.
 	Policy PolicySpec `json:"policy,omitempty"`
@@ -142,11 +143,21 @@ type StationSpec struct {
 	// QueueCap overrides the world's MAC queue bound for this station;
 	// zero keeps it.
 	QueueCap int `json:"queue_cap,omitempty"`
-	// Position overrides the builder's default placement.
+	// Position overrides the default placement (the builder's, or
+	// AddStation's pos argument).
 	Position *phys.Position `json:"position,omitempty"`
 	// Channel overrides the builder's channel assignment (multi-BSS
-	// worlds); zero keeps it.
+	// worlds); zero keeps it. Radios on different channels never
+	// interact.
 	Channel int `json:"channel,omitempty"`
+	// SpoofEmulationVictims lists already-added stations toward which
+	// this sender treats ACK timeouts as success: the testbed's stand-in
+	// for a spoofed-ACK victim (Table VIII).
+	SpoofEmulationVictims []string `json:"spoof_emulation_victims,omitempty"`
+	// CWMinCapPeers lists already-added stations toward which this
+	// sender's CW stays pinned at CWmin: the testbed's stand-in for a
+	// fake-ACK beneficiary (Table IX).
+	CWMinCapPeers []string `json:"cwmin_cap_peers,omitempty"`
 }
 
 // Validate reports whether the spec is well-formed.
@@ -155,32 +166,6 @@ func (s StationSpec) Validate() error {
 		return fmt.Errorf("scenario: StationSpec.QueueCap %d is negative", s.QueueCap)
 	}
 	return s.Policy.Validate()
-}
-
-// opts materializes the spec into StationOpts against a world under
-// construction.
-func (s StationSpec) opts(w *World) (StationOpts, error) {
-	if err := s.Validate(); err != nil {
-		return StationOpts{}, err
-	}
-	policy, err := s.Policy.build(w)
-	if err != nil {
-		return StationOpts{}, err
-	}
-	opts := StationOpts{
-		Policy:   policy,
-		GRC:      s.GRC,
-		QueueCap: s.QueueCap,
-		Channel:  s.Channel,
-	}
-	if s.ARF {
-		rates := mac.Rates80211B()
-		if w.cfg.Band == phys.Band80211A {
-			rates = mac.Rates80211A()
-		}
-		opts.AutoRate = mac.NewARF(rates, 0, 0)
-	}
-	return opts, nil
 }
 
 // checkSpecs rejects a spec slice longer than the n stations it
@@ -192,18 +177,11 @@ func checkSpecs(role string, specs []StationSpec, n int) error {
 	return nil
 }
 
-// stationFor resolves station i's options and position during a build;
-// indices past the spec slice are compliant stations at def.
-func stationFor(w *World, i int, def phys.Position, specs []StationSpec) (StationOpts, phys.Position, error) {
-	if i >= len(specs) {
-		return StationOpts{}, def, nil
+// specAt is station i's spec; indices past the slice are compliant
+// stations.
+func specAt(specs []StationSpec, i int) StationSpec {
+	if i < len(specs) {
+		return specs[i]
 	}
-	opts, err := specs[i].opts(w)
-	if err != nil {
-		return StationOpts{}, def, err
-	}
-	if specs[i].Position != nil {
-		def = *specs[i].Position
-	}
-	return opts, def, nil
+	return StationSpec{}
 }

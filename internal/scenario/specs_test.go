@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"greedy80211/internal/greedy"
-	"greedy80211/internal/mac"
 	"greedy80211/internal/phys"
 	"greedy80211/internal/sim"
 )
@@ -61,6 +59,9 @@ func TestStationSpecJSONRoundTrip(t *testing.T) {
 		QueueCap: 64,
 		Position: &phys.Position{X: 12, Y: 7},
 		Channel:  6,
+
+		SpoofEmulationVictims: []string{"R1"},
+		CWMinCapPeers:         []string{"R2", "R3"},
 	}
 	raw, err := json.Marshal(in)
 	if err != nil {
@@ -72,72 +73,15 @@ func TestStationSpecJSONRoundTrip(t *testing.T) {
 	}
 	if out.Policy.Name != PolicyACKSpoofing || out.Policy.GreedyPercent == nil || *out.Policy.GreedyPercent != 30 ||
 		len(out.Policy.Victims) != 2 || !out.ARF || out.QueueCap != 64 ||
-		out.Position == nil || out.Position.X != 12 || out.Channel != 6 {
+		out.Position == nil || out.Position.X != 12 || out.Channel != 6 ||
+		len(out.SpoofEmulationVictims) != 1 || len(out.CWMinCapPeers) != 2 {
 		t.Fatalf("round trip = %+v (raw %s)", out, raw)
 	}
-}
-
-// TestStationSpecMatchesStationOpts: a spec-built world is identical to
-// the same world built through AddStation with explicit StationOpts — the
-// spec path is a pure data encoding of the same construction order and
-// RNG draws.
-func TestStationSpecMatchesStationOpts(t *testing.T) {
-	const d = 500 * sim.Millisecond
-	goodputs := func(w *World) []float64 {
-		t.Helper()
-		w.Run(d)
-		var out []float64
-		for _, fl := range w.Flows() {
-			out = append(out, fl.GoodputMbps(d))
-		}
-		return out
-	}
-	base := Config{Seed: 11, UseRTSCTS: true, Error: marginalLadder()}
-	w, err := NewWorld(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		var opts StationOpts
-		if i == 2 {
-			opts.Policy = greedy.NewNAVInflation(w.Sched.RNG(), greedy.CTSAndACK, 10*sim.Millisecond, 100)
-		}
-		if _, err := w.AddStation(ReceiverName(i), phys.Position{X: 5, Y: float64(i) * 30}, opts); err != nil {
-			t.Fatal(err)
+	for _, key := range []string{`"spoof_emulation_victims"`, `"cwmin_cap_peers"`} {
+		if !strings.Contains(string(raw), key) {
+			t.Errorf("encoding %s lacks key %s", raw, key)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		opts := StationOpts{AutoRate: mac.NewARF(mac.Rates80211B(), 0, 0)}
-		if _, err := w.AddStation(SenderName(i), phys.Position{Y: float64(i) * 30}, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := w.AddUDPFlow(i+1, SenderName(i), ReceiverName(i), DefaultCBRRateBps, DefaultPayloadBytes); err != nil {
-			t.Fatal(err)
-		}
-	}
-	direct := goodputs(w)
-	ws, err := BuildPairs(PairsConfig{Config: base, N: 3, Transport: UDP,
-		ReceiverSpecs: []StationSpec{{}, {}, {Policy: PolicySpec{Name: PolicyNAVInflation}}},
-		SenderSpecs:   []StationSpec{{ARF: true}, {ARF: true}, {ARF: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := goodputs(ws)
-	if len(direct) != len(spec) {
-		t.Fatalf("flow counts differ: %d vs %d", len(direct), len(spec))
-	}
-	for i := range direct {
-		if direct[i] != spec[i] {
-			t.Fatalf("flow %d: StationOpts %v != spec %v", i+1, direct[i], spec[i])
-		}
-	}
-}
-
-// marginalLadder is a rate-dependent channel on which ARF has to move.
-func marginalLadder() phys.ErrorSpec {
-	return phys.RateLadderSpec(map[int64]float64{5_500_000: 0.15, 11_000_000: 0.7}, 200)
 }
 
 func TestStationSpecErrors(t *testing.T) {

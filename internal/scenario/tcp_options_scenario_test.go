@@ -17,10 +17,10 @@ func TestTCPOptionsOverWireless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.AddStation("rx", phys.Position{X: 5}, StationOpts{}); err != nil {
+		if _, err := w.AddStation("rx", phys.Position{X: 5}, StationSpec{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.AddStation("tx", phys.Position{}, StationOpts{}); err != nil {
+		if _, err := w.AddStation("tx", phys.Position{}, StationSpec{}); err != nil {
 			t.Fatal(err)
 		}
 		cfg := transport.DefaultTCPConfig(1)

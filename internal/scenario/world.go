@@ -41,6 +41,20 @@ func (t Transport) String() string {
 	}
 }
 
+// Capture selects how the medium resolves two overlapping receptions.
+type Capture int
+
+const (
+	// CaptureThreshold decodes the stronger frame when it is at least
+	// 10 dB above the other (ns-2's default; the zero value).
+	CaptureThreshold Capture = iota
+	// CaptureStrongest resolves every overlap to the strongest frame
+	// (the paper's assumption in the ACK-spoofing evaluation).
+	CaptureStrongest
+	// CaptureOff turns the capture effect off: every overlap is lost.
+	CaptureOff
+)
+
 // Config parameterizes a world.
 type Config struct {
 	// Seed drives every random stream in the world.
@@ -56,11 +70,9 @@ type Config struct {
 	// spec (BER, FER, data-FER, or rate ladder) with explicit validation.
 	// The zero value is loss-free.
 	Error phys.ErrorSpec
-	// ForceCapture resolves every reception overlap to the strongest
-	// frame (the paper's assumption in the ACK-spoofing evaluation).
-	ForceCapture bool
-	// DisableCapture turns the capture effect off entirely.
-	DisableCapture bool
+	// Capture selects how overlapping receptions resolve; the zero
+	// value is the 10 dB threshold.
+	Capture Capture
 	// QueueCap bounds every MAC queue; zero keeps the default of 50.
 	QueueCap int
 	// ControlRateBps overrides the band's basic rate for control frames
@@ -83,29 +95,6 @@ type Station struct {
 	Node *node.Node
 	DCF  *mac.DCF
 	GRC  *detect.GRC
-}
-
-// StationOpts customizes a wireless station.
-type StationOpts struct {
-	// Policy installs a (possibly greedy) receiver policy.
-	Policy mac.ReceiverPolicy
-	// GRC installs the countermeasure observer with the given config.
-	GRC *detect.Config
-	// SpoofEmulationVictims lists already-added stations toward which
-	// this sender treats ACK timeouts as success (Table VIII emulation).
-	SpoofEmulationVictims []string
-	// CWMinCapPeers lists already-added stations toward which this
-	// sender's CW stays pinned at CWmin (Table IX emulation).
-	CWMinCapPeers []string
-	// AutoRate installs a per-destination rate controller (auto-rate
-	// extension); nil keeps the band's fixed data rate.
-	AutoRate mac.RateController
-	// QueueCap overrides the world's MAC queue bound for this station.
-	QueueCap int
-	// Channel places the station's radio on a specific channel (multi-BSS
-	// worlds); zero means the medium's default channel. Radios on
-	// different channels never interact.
-	Channel int
 }
 
 // Flow is one end-to-end traffic stream.
@@ -189,12 +178,17 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	mcfg.DefaultError = em
 	mcfg.RateError = rem
-	mcfg.ForceCapture = cfg.ForceCapture
+	switch cfg.Capture {
+	case CaptureThreshold: // medium.DefaultConfig's 10 dB threshold
+	case CaptureStrongest:
+		mcfg.ForceCapture = true
+	case CaptureOff:
+		mcfg.CaptureEnabled = false
+	default:
+		return nil, fmt.Errorf("scenario: unknown capture mode %d", int(cfg.Capture))
+	}
 	reg := metrics.NewRegistry()
 	mcfg.Metrics = reg
-	if cfg.DisableCapture {
-		mcfg.CaptureEnabled = false
-	}
 	switch cfg.Band {
 	case phys.Band80211A:
 		mcfg.Addr = medium.AddrModel80211A()
@@ -260,30 +254,51 @@ func (w *World) resolve(names []string) (map[mac.NodeID]bool, error) {
 	return out, nil
 }
 
-// AddStation creates a wireless station at pos.
-func (w *World) AddStation(name string, pos phys.Position, opts StationOpts) (*Station, error) {
+// AddStation creates the wireless station spec describes, placed at
+// pos unless spec.Position overrides it.
+func (w *World) AddStation(name string, pos phys.Position, spec StationSpec) (*Station, error) {
 	if _, dup := w.stations[name]; dup {
 		return nil, fmt.Errorf("scenario: duplicate station %q", name)
 	}
-	spoofTo, err := w.resolve(opts.SpoofEmulationVictims)
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	spoofTo, err := w.resolve(spec.SpoofEmulationVictims)
 	if err != nil {
 		return nil, err
 	}
-	cwCap, err := w.resolve(opts.CWMinCapPeers)
+	cwCap, err := w.resolve(spec.CWMinCapPeers)
 	if err != nil {
 		return nil, err
+	}
+	// The policy draws its random stream before mac.New draws the DCF's,
+	// which fixes every world's stream order.
+	policy, err := spec.Policy.build(w)
+	if err != nil {
+		return nil, err
+	}
+	var autoRate mac.RateController
+	if spec.ARF {
+		rates := mac.Rates80211B()
+		if w.cfg.Band == phys.Band80211A {
+			rates = mac.Rates80211A()
+		}
+		autoRate = mac.NewARF(rates, 0, 0)
+	}
+	if spec.Position != nil {
+		pos = *spec.Position
 	}
 	w.nextID++
 	id := w.nextID
 	n := node.New(name)
 	st := &Station{Name: name, ID: id, Node: n}
-	queueCap := opts.QueueCap
+	queueCap := spec.QueueCap
 	if queueCap == 0 {
 		queueCap = w.cfg.QueueCap
 	}
 	var obs mac.Observer
-	if opts.GRC != nil {
-		st.GRC = detect.New(w.Sched, w.Params, *opts.GRC)
+	if spec.GRC != nil {
+		st.GRC = detect.New(w.Sched, w.Params, *spec.GRC)
 		obs = st.GRC
 	}
 	dcf := mac.New(w.Sched, w.Medium, n, mac.Config{
@@ -291,16 +306,16 @@ func (w *World) AddStation(name string, pos phys.Position, opts StationOpts) (*S
 		Params:           w.Params,
 		UseRTSCTS:        w.cfg.UseRTSCTS,
 		QueueCap:         queueCap,
-		Policy:           opts.Policy,
+		Policy:           policy,
 		Observer:         obs,
 		SpoofEmulationTo: spoofTo,
 		CWMinCapTo:       cwCap,
-		AutoRate:         opts.AutoRate,
+		AutoRate:         autoRate,
 		Frames:           w.frames,
 	})
 	st.DCF = dcf
 	n.AttachMAC(dcf)
-	if err := w.Medium.AddRadioOn(id, pos, opts.Channel, dcf); err != nil {
+	if err := w.Medium.AddRadioOn(id, pos, spec.Channel, dcf); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	w.metrics.Register(id, name, dcf)
